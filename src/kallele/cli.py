@@ -34,7 +34,7 @@ from .inference import (
     posterior_sample,
     posterior_summary,
 )
-from .sampler import sample_neutral, sample_selection, write_samples_jsonl
+from .sampler import RejectionStarvedError, sample_neutral, sample_selection, write_samples_jsonl
 from .study import StudySchemaError, StudySpec, run_study
 
 __all__ = ["main"]
@@ -306,10 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FrequencyParseError, StudySchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (FrequencyParseError, StudySchemaError, ValueError, RejectionStarvedError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,11 @@ bracketing-safe.
 
 All weight arithmetic is carried in log space with max-shift before
 exponentiation: the tilt exp(-sigma * h) spans hundreds of orders of
-magnitude at the intensities this package is asked to explore.
+magnitude at the intensities this package is asked to explore.  Every
+estimate at a scalar intensity comes from one pass function, ``tilt``,
+which reads the pool once and returns the log weight total, the tilted
+mean of h, its derivative in sigma, the effective sample size and, when
+asked, the CDF at one h.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -37,6 +41,7 @@ from .core import (
 
 __all__ = [
     "WeightedPool",
+    "Tilt",
     "EssReport",
     "OptimalComposition",
     "PoolReliabilityWarning",
@@ -44,6 +49,7 @@ __all__ = [
     "build_pool",
     "build_mixture_pool",
     "pool_for_sigma_range",
+    "tilt",
     "log_normalizer",
     "log_normalizer_se",
     "log_likelihood",
@@ -74,6 +80,14 @@ NEGATIVE_MIXTURE_THRESHOLD = 30.0
 VERTEX_CONCENTRATION = 0.4
 
 _CHUNK = 1 << 14
+
+# The smallest max-shifted log-weight a pass exponentiates, log(2**-1020).
+# NumPy's vectorized exp leaves its fast path for results below 2**-1021:
+# on an AVX-512 Xeon, 100k arguments at -708 took 1.7 ms, arguments with
+# subnormal results 12-19 ms and arguments below -745 1.7 ms, against
+# 0.08 ms at -707.  A weight this far below the largest (which is 1) cannot
+# move any sum a pass reports, so lower log-weights get weight 0 instead.
+_LOG_WEIGHT_FLOOR = math.log(2.0**-1020)
 
 
 class PoolReliabilityWarning(UserWarning):
@@ -143,6 +157,8 @@ class WeightedPool:
     k: int
     h_min: float
     h_max: float
+    # Per-pool results that every query on the pool shares (support margins).
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def proposal_a(self) -> float:
@@ -177,8 +193,11 @@ class WeightedPool:
         solver classifies them as unbounded rather than reporting a number.
         """
         j = min(max(int(min_support), 1), self.n) - 1
-        part = np.partition(self.h, (j, self.n - 1 - j))
-        return float(part[j] - self.h_min), float(self.h_max - part[self.n - 1 - j])
+        key = ("support_margin", j)
+        if key not in self._memo:
+            part = np.partition(self.h, (j, self.n - 1 - j))
+            self._memo[key] = (float(part[j] - self.h_min), float(self.h_max - part[self.n - 1 - j]))
+        return self._memo[key]
 
 
 def _dirichlet_logconst(alphas: np.ndarray) -> float:
@@ -349,28 +368,101 @@ def pool_for_sigma_range(
     return build_mixture_pool(theta, tuple(concs), n, seed, keep_draws)
 
 
-def _selection_log_weights(pool: WeightedPool, model: SelectionModel, b: np.ndarray | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class Tilt:
+    """One pass over a pool at one selection intensity.
+
+    With weights w_i = exp(b_i - sigma h_i): ``log_z`` is log sum w_i (its
+    difference from the value at sigma = 0 is the log-normalizer), ``g``
+    the weighted mean of h, ``dg`` its derivative in sigma (minus the
+    weighted variance of h), ``ess`` (sum w)^2 / sum w^2, and ``cdf`` the
+    weighted fraction of draws with h at or below the ``cdf_at`` asked for
+    (NaN when not asked).
+    """
+
+    log_z: float
+    g: float
+    dg: float
+    ess: float
+    cdf: float = math.nan
+
+
+def _weights(base: np.ndarray, stat: np.ndarray, sigma: float) -> tuple[np.ndarray, float, int]:
+    """Weights exp(base - sigma * stat - top) in a fresh array, the shift top, and its index.
+
+    The largest weight, at the returned index, is exactly 1.  Log-weights
+    below the floor get weight 0 without reaching exp's slow path; the
+    array is allocated per call, so concurrent passes over one pool share
+    no buffer.
+    """
+    lw = np.multiply(stat, -float(sigma))
+    lw += base
+    i_top = int(lw.argmax())
+    top = float(lw[i_top])
+    lw -= top
+    keep = lw >= _LOG_WEIGHT_FLOOR
+    if keep.all():
+        np.exp(lw, out=lw)
+    else:
+        np.maximum(lw, _LOG_WEIGHT_FLOOR, out=lw)
+        np.exp(lw, out=lw)
+        lw *= keep
+    return lw, top, i_top
+
+
+def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray, cdf_at: float | None = None) -> Tilt:
+    # Moments are taken about the statistic of the top-weight draw, and the
+    # CDF through the ratio of the weight above to the weight at or below
+    # cdf_at.  Where a curve saturates, its correction term still moves by
+    # many of its own rounding errors per step in sigma, and rounding is
+    # monotone, so g and the CDF stay exactly monotone there as well.
+    total = float(w.sum())
+    d = stat - stat[i_top]
+    c = float(w @ d) / total
+    d *= d
+    cdf = math.nan
+    if cdf_at is not None:
+        below = stat <= cdf_at
+        w_below = float(w @ below)
+        cdf = 1.0 / (1.0 + float(w @ ~below) / w_below) if w_below > 0.0 else 0.0
+    return Tilt(
+        log_z=top + math.log(total),
+        g=float(stat[i_top]) + c,
+        dg=c * c - float(w @ d) / total,
+        ess=total * total / float(w @ w),
+        cdf=cdf,
+    )
+
+
+def tilt(
+    pool: WeightedPool,
+    sigma: float,
+    b: np.ndarray | None = None,
+    cdf_at: float | None = None,
+) -> Tilt:
+    """One pass over the pool at selection intensity sigma.
+
+    ``b`` replaces the pool's base log-weights (a reweighting to another
+    mutation rate); ``cdf_at`` asks for P(H <= cdf_at) as well.  The pass
+    is pure and allocates its own work arrays, so threads may share the pool.
+    """
     base = pool.b if b is None else b
+    return _summary(*_weights(base, pool.h, sigma), pool.h, cdf_at)
+
+
+def _selection_stat(pool: WeightedPool, model: SelectionModel) -> tuple[np.ndarray, float]:
+    """Per-draw statistic the tilt multiplies, and its intensity: (h, sigma) or (x' S x, 1)."""
     if model.mode == "symmetric":
-        return base - float(model.sigma) * pool.h
-    m = model.matrix_array(pool.k)
+        return pool.h, float(model.sigma)
     if pool.draws is None:
         raise ValueError("general-matrix queries require a pool built with keep_draws=True")
-    q = np.einsum("ij,jl,il->i", pool.draws, m, pool.draws)
-    return base - q
+    m = model.matrix_array(pool.k)
+    return np.einsum("ij,jl,il->i", pool.draws, m, pool.draws), 1.0
 
 
-def _ess_report(lw: np.ndarray, floor: float) -> EssReport:
-    lse = float(logsumexp(lw))
-    lse2 = float(logsumexp(2.0 * lw))
-    ess = min(max(math.exp(2.0 * lse - lse2), 1.0), float(lw.size))
-    return EssReport(
-        ess=ess,
-        n=lw.size,
-        min_weight_fraction=math.exp(float(lw.min()) - lse),
-        max_weight_fraction=math.exp(float(lw.max()) - lse),
-        floor=floor,
-    )
+def _log_normalizer(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
+    """log Z(sigma) - log Z(0): exactly 0 at sigma = 0."""
+    return _summary(*_weights(base, stat, sigma), stat).log_z - _summary(*_weights(base, stat, 0.0), stat).log_z
 
 
 def log_normalizer(
@@ -383,18 +475,28 @@ def log_normalizer(
     Exactly zero for sigma = 0.  A report below the ESS floor flags the
     estimate as unreliable without failing.
     """
-    lw = _selection_log_weights(pool, model)
-    value = float(logsumexp(lw) - logsumexp(pool.b))
-    return value, _ess_report(lw, ess_floor)
+    stat, sigma = _selection_stat(pool, model)
+    w, top, i_top = _weights(pool.b, stat, sigma)
+    t = _summary(w, top, i_top, stat)
+    value = t.log_z - _summary(*_weights(pool.b, stat, 0.0), stat).log_z
+    total = math.exp(t.log_z - top)
+    report = EssReport(
+        ess=min(max(t.ess, 1.0), float(pool.n)),
+        n=pool.n,
+        min_weight_fraction=float(w.min()) / total,
+        max_weight_fraction=1.0 / total,
+        floor=ess_floor,
+    )
+    return value, report
 
 
 def log_normalizer_se(pool: WeightedPool, model: SelectionModel) -> float:
     """Delta-method standard error of the log-normalizer estimate."""
-    lw = _selection_log_weights(pool, model)
-    u = np.exp(lw - lw.max())
-    v = np.exp(pool.b - pool.b.max())
+    stat, sigma = _selection_stat(pool, model)
+    u = _weights(pool.b, stat, sigma)[0]
+    v = _weights(pool.b, stat, 0.0)[0]
     du = u / u.sum() - v / v.sum()
-    return float(np.sqrt((du * du).sum()))
+    return float(np.sqrt(du @ du))
 
 
 def log_likelihood(
@@ -410,16 +512,9 @@ def log_likelihood(
     """
     if x.k != theta.k or x.k != pool.k:
         raise ValueError("dimension mismatch between data, mutation parameters and pool")
-    b = pool.base_log_weights_for(theta)
-    lw = _selection_log_weights(pool, model, b=b)
-    lz = float(logsumexp(lw) - logsumexp(b))
+    stat, sigma = _selection_stat(pool, model)
+    lz = _log_normalizer(pool.base_log_weights_for(theta), stat, sigma)
     return -quadratic_form(x, model) - lz + neutral_log_density(x, theta)
-
-
-def _normalized_weights(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> np.ndarray:
-    lw = (pool.b if b is None else b) - float(sigma) * pool.h
-    w = np.exp(lw - lw.max())
-    return w / w.sum()
 
 
 def g_sigma(
@@ -434,26 +529,22 @@ def g_sigma(
     sigma: its derivative is minus a weighted variance.  Pass ``ess_floor``
     to opt into a reliability warning at extreme intensities.
     """
-    lw = (pool.b if b is None else b) - float(sigma) * pool.h
-    w = np.exp(lw - lw.max())
-    if ess_floor is not None:
-        ws = w.sum()
-        ess = ws * ws / (w * w).sum()
-        if ess < ess_floor:
-            warnings.warn(
-                f"g_sigma at sigma={sigma:g}: ESS {ess:.1f} below floor {ess_floor:g}",
-                PoolReliabilityWarning,
-                stacklevel=2,
-            )
-    return float((w @ pool.h) / w.sum())
+    t = tilt(pool, sigma, b)
+    if ess_floor is not None and t.ess < ess_floor:
+        warnings.warn(
+            f"g_sigma at sigma={sigma:g}: ESS {t.ess:.1f} below floor {ess_floor:g}",
+            PoolReliabilityWarning,
+            stacklevel=2,
+        )
+    return t.g
 
 
 def g_sigma_se(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> float:
     """Delta-method standard error of the g_sigma estimate."""
-    w = _normalized_weights(pool, sigma, b)
-    g = float(w @ pool.h)
-    d = w * (pool.h - g)
-    return float(np.sqrt((d * d).sum()))
+    w = _weights(pool.b if b is None else b, pool.h, sigma)[0]
+    w /= w.sum()
+    d = w * (pool.h - float(w @ pool.h))
+    return float(np.sqrt(d @ d))
 
 
 def score_sigma(
@@ -476,8 +567,7 @@ def score_general(x: SimplexPoint, pool: WeightedPool, model: SelectionModel) ->
         raise ValueError("score_general requires a pool built with keep_draws=True")
     if x.k != pool.k:
         raise ValueError("dimension mismatch")
-    lw = _selection_log_weights(pool, model)
-    w = np.exp(lw - lw.max())
+    w = _weights(pool.b, *_selection_stat(pool, model))[0]
     w /= w.sum()
     second = (pool.draws * w[:, None]).T @ pool.draws
     v = x.as_array()
@@ -495,8 +585,7 @@ def cdf_homozygosity(
     For fixed h the empirical map sigma -> F is exactly non-decreasing:
     stronger heterozygote advantage pushes homozygosity down.
     """
-    w = _normalized_weights(pool, sigma, b)
-    return float(w[pool.h <= h.value].sum())
+    return tilt(pool, sigma, b, cdf_at=h.value).cdf
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q) -> np.ndarray:

@@ -3,8 +3,8 @@
 The maximum likelihood estimate conditional on the mutation rate solves
 ``g(sigma) = h`` where ``g`` is the mean homozygosity under selection and
 ``h`` the observed one.  On a fixed pool the empirical ``g`` is exactly
-monotone, so the solver is a plain bisection and its bracket certificates
-are meaningful.  Data at or below the pool's homozygosity floor sits in the
+monotone, so the solver is a Newton iteration safeguarded by a bracket
+whose sign change it certifies.  Data at or below the pool's homozygosity floor sits in the
 image of the likelihood singularity: the solver reports an ``unbounded``
 status there instead of a number, and every downstream consumer (bootstrap,
 studies, CLI) carries that status through rather than masking it.
@@ -18,12 +18,13 @@ posterior chain over (theta, sigma).
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .core import (
     Homozygosity,
@@ -37,11 +38,12 @@ from .density import (
     MIXTURE_SIGMA_THRESHOLD,
     NEGATIVE_MIXTURE_THRESHOLD,
     WeightedPool,
+    Tilt,
     build_mixture_pool,
     cdf_homozygosity,
-    g_sigma,
     neutral_log_density,
     pool_for_sigma_range,
+    tilt,
 )
 from .sampler import SamplerConfig, _selection_arrays
 
@@ -212,7 +214,7 @@ class PosteriorChain:
 
 @dataclass(frozen=True)
 class MleConfig:
-    score_tol: float = 1e-8
+    # The solve stops when its Newton step or its bracket is below this.
     bracket_tol: float = 1e-6
     sigma_cap: float = 1e5
     bracket_init: float = 64.0
@@ -237,7 +239,6 @@ class JointMleConfig:
 class BootstrapConfig:
     level: float = 0.95
     pool_n: int = 100_000
-    table_points: int = 1024
     heavy_tail_threshold: float = 0.2
     joint_refit: bool = False
     workers: int = 1
@@ -270,51 +271,24 @@ class PosteriorConfig:
 
 
 class GSigmaTable:
-    """Precomputed monotone g-curve on a sigma grid, for warm bisection brackets.
+    """Memo of the pool passes at the bracket points, shared by every solve on a pool.
 
-    Purely an accelerator: the bracket it hands out is refined by the same
-    bisection on the same pool, so results are identical to a cold start.
+    ``mle_sigma`` brackets its root on the points 0 and +/-bracket_init * 2^j
+    (j >= -6); those points are the same for every solve on one pool, so
+    only the first solves pay for them.  Passes are made lazily, on first
+    use.  Results are identical with and without the memo; threads may
+    share it.
     """
 
-    def __init__(self, pool: WeightedPool, sigma_cap: float = 1e5, points: int = 1024):
-        half = points // 2
-        pos = np.geomspace(1e-3, sigma_cap, half)
-        neg = -np.geomspace(1e-3, sigma_cap, half)[::-1]
-        self.sigmas = np.concatenate([neg, [0.0], pos])
-        self.values = np.array([g_sigma(pool, s) for s in self.sigmas])
+    def __init__(self, pool: WeightedPool):
+        self.pool = pool
+        self.passes: dict[float, Tilt] = {}
 
-    def bracket(self, hv: float) -> tuple[float, float] | None:
-        """Grid interval whose g-values straddle hv, or None if outside the grid."""
-        idx = int(np.searchsorted(-self.values, -hv, side="left"))
-        if idx == 0 or idx >= self.sigmas.size:
-            return None
-        return float(self.sigmas[idx - 1]), float(self.sigmas[idx])
-
-
-def _ess_at(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> float:
-    lw = (pool.b if b is None else b) - sigma * pool.h
-    return float(math.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
-
-
-def _bisect_g(
-    pool: WeightedPool,
-    hv: float,
-    lo: float,
-    hi: float,
-    config: MleConfig,
-    b: np.ndarray | None = None,
-) -> tuple[float, float, float]:
-    """Bisect g(sigma) = hv on [lo, hi] with g(lo) >= hv >= g(hi)."""
-    while hi - lo > config.bracket_tol:
-        mid = 0.5 * (lo + hi)
-        gm = g_sigma(pool, mid, b=b)
-        if abs(gm - hv) < config.score_tol:
-            return mid, lo, hi
-        if gm > hv:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), lo, hi
+    def at(self, sigma: float) -> Tilt:
+        t = self.passes.get(sigma)
+        if t is None:
+            t = self.passes[sigma] = tilt(self.pool, sigma)
+        return t
 
 
 def mle_sigma(
@@ -326,8 +300,17 @@ def mle_sigma(
 ) -> MleResult:
     """Conditional MLE of the selection intensity given the mutation rate.
 
-    Solves g(sigma) = h by bisection on the exactly monotone empirical g.
-    Statuses replace exceptions; callers must branch on ``status``.
+    Solves g(sigma) = h on the exactly monotone empirical g.  A walk over
+    the points 0 and +/-bracket_init * 2^j brackets the root within one
+    octave (or between 0 and bracket_init / 64); pass ``table`` to share
+    those passes between solves on one pool.  Newton steps (g' comes from
+    the same pass) then run inside the bracket from an inverse Hermite
+    interpolation of its ends, with bisection whenever a step leaves the
+    bracket or fails to halve the step two before.  The solve stops when a
+    Newton step or the bracket is below ``bracket_tol``; the returned
+    bracket keeps a certified sign change, and the score and ESS come from
+    the last pass.  Statuses replace exceptions; callers must branch on
+    ``status``.
     """
     config = config or MleConfig()
     hv = float(h.value)
@@ -352,60 +335,122 @@ def mle_sigma(
             ess_at_solution=math.nan,
             notes=(f"h={hv:.6g} at or above pool ceiling {pool.h_max:.6g}-{margin_hi:.2g}",),
         )
-
-    bracket = table.bracket(hv) if table is not None else None
-    if bracket is None:
-        lo, hi = -config.bracket_init, config.bracket_init
-        while g_sigma(pool, lo, b=b) < hv:
-            lo *= 2.0
-            if lo < -config.sigma_cap:
-                return MleResult(
-                    sigma_hat=-config.sigma_cap,
-                    theta_hat=None,
-                    status=STATUS_OUTSIDE_POOL_RANGE,
-                    score_at_solution=g_sigma(pool, -config.sigma_cap, b=b) - hv,
-                    bracket=(-math.inf, -config.sigma_cap),
-                    ess_at_solution=_ess_at(pool, -config.sigma_cap, b),
-                    notes=("below-cap",),
-                )
-        while g_sigma(pool, hi, b=b) > hv:
-            hi *= 2.0
-            if hi > config.sigma_cap:
-                return MleResult(
-                    sigma_hat=config.sigma_cap,
-                    theta_hat=None,
-                    status=STATUS_OUTSIDE_POOL_RANGE,
-                    score_at_solution=g_sigma(pool, config.sigma_cap, b=b) - hv,
-                    bracket=(config.sigma_cap, math.inf),
-                    ess_at_solution=_ess_at(pool, config.sigma_cap, b),
-                    notes=("above-cap",),
-                )
+    if table is None:
+        at = functools.partial(tilt, pool, b=b)
+    elif table.pool is pool and b is None:
+        at = table.at
     else:
-        lo, hi = bracket
+        raise ValueError("table was built for another pool or for the pool's own base weights")
 
-    sigma_hat, lo, hi = _bisect_g(pool, hv, lo, hi, config, b=b)
-    ess = _ess_at(pool, sigma_hat, b)
-    if ess < config.ess_floor:
+    def outside(cap: float, note: str) -> MleResult:
+        t = tilt(pool, cap, b)
+        return MleResult(
+            sigma_hat=cap,
+            theta_hat=None,
+            status=STATUS_OUTSIDE_POOL_RANGE,
+            score_at_solution=t.g - hv,
+            bracket=(cap, math.inf) if cap > 0 else (-math.inf, cap),
+            ess_at_solution=t.ess,
+            notes=(note,),
+        )
+
+    # Bracket walk, outward by doubling: throughout, g(lo) >= hv >= g(hi).
+    lo, hi = -config.bracket_init, config.bracket_init
+    t_lo, t_hi = at(lo), at(hi)
+    while t_lo.g < hv:
+        hi, t_hi = lo, t_lo
+        lo *= 2.0
+        if lo < -config.sigma_cap:
+            return outside(-config.sigma_cap, "below-cap")
+        t_lo = at(lo)
+    while t_hi.g > hv:
+        lo, t_lo = hi, t_hi
+        hi *= 2.0
+        if hi > config.sigma_cap:
+            return outside(config.sigma_cap, "above-cap")
+        t_hi = at(hi)
+    if lo < 0.0 < hi:
+        # The root lies within +/-bracket_init: split at 0, then halve toward
+        # 0 (six times at most) while the root stays on 0's side.
+        t_0 = at(0.0)
+        near = config.bracket_init / 64.0
+        if t_0.g >= hv:
+            lo, t_lo = 0.0, t_0
+            while hi > near:
+                t_mid = at(0.5 * hi)
+                if t_mid.g >= hv:
+                    lo, t_lo = 0.5 * hi, t_mid
+                    break
+                hi, t_hi = 0.5 * hi, t_mid
+        else:
+            hi, t_hi = 0.0, t_0
+            while lo < -near:
+                t_mid = at(0.5 * lo)
+                if t_mid.g < hv:
+                    hi, t_hi = 0.5 * lo, t_mid
+                    break
+                lo, t_lo = 0.5 * lo, t_mid
+
+    # First iterate: inverse cubic Hermite interpolation of sigma(g) through
+    # the bracket ends, whose slopes come with their passes; the secant
+    # point where that leaves the bracket.
+    span = t_hi.g - t_lo.g
+    u = (hv - t_lo.g) / span if span < 0.0 else 0.0
+    sigma = lo + u * (hi - lo)
+    if t_lo.dg < 0.0 and t_hi.dg < 0.0:
+        cubic = (
+            (1.0 + (2.0 * u - 3.0) * u * u) * lo
+            + (3.0 - 2.0 * u) * u * u * hi
+            + (u - 1.0) * u * span * ((u - 1.0) / t_lo.dg + u / t_hi.dg)
+        )
+        if lo < cubic < hi:
+            sigma = cubic
+    t = t_lo if sigma == lo else t_hi if sigma == hi else tilt(pool, sigma, b)
+
+    # Safeguarded Newton from there.
+    last_step = older_step = math.inf
+    while True:
+        f = t.g - hv
+        if f > 0.0:
+            lo = sigma
+        elif f < 0.0:
+            hi = sigma
+        else:
+            break
+        step = -f / t.dg if t.dg < 0.0 else math.inf
+        nxt = sigma + step
+        if lo < nxt < hi and abs(step) <= 0.5 * older_step:
+            if abs(step) < config.bracket_tol:
+                break
+        else:
+            nxt = 0.5 * (lo + hi)
+            step = nxt - sigma
+        if hi - lo < config.bracket_tol or not lo < nxt < hi:
+            break
+        older_step, last_step = last_step, abs(step)
+        sigma, t = nxt, tilt(pool, nxt, b)
+
+    if t.ess < config.ess_floor:
         # The root exists on the empirical curve but hangs on a handful of
         # draws: that is the likelihood singularity showing through the
         # pool, not a reportable estimate.
-        status = STATUS_UNBOUNDED_ABOVE if sigma_hat > 0 else STATUS_UNBOUNDED_BELOW
+        status = STATUS_UNBOUNDED_ABOVE if sigma > 0 else STATUS_UNBOUNDED_BELOW
         return MleResult(
-            sigma_hat=math.inf if sigma_hat > 0 else -math.inf,
+            sigma_hat=math.inf if sigma > 0 else -math.inf,
             theta_hat=None,
             status=status,
             score_at_solution=math.nan,
             bracket=(lo, hi),
-            ess_at_solution=ess,
-            notes=(f"ess {ess:.1f} below floor {config.ess_floor:g} at sigma={sigma_hat:.4g}",),
+            ess_at_solution=t.ess,
+            notes=(f"ess {t.ess:.1f} below floor {config.ess_floor:g} at sigma={sigma:.4g}",),
         )
     return MleResult(
-        sigma_hat=sigma_hat,
+        sigma_hat=sigma,
         theta_hat=None,
         status=STATUS_CONVERGED,
-        score_at_solution=g_sigma(pool, sigma_hat, b=b) - hv,
+        score_at_solution=t.g - hv,
         bracket=(lo, hi),
-        ess_at_solution=ess,
+        ess_at_solution=t.ess,
     )
 
 
@@ -448,8 +493,7 @@ def mle_joint(
         elif inner.status == STATUS_OUTSIDE_POOL_RANGE:
             value = -math.inf
         else:
-            lw = pool.b - inner.sigma_hat * pool.h
-            lz = float(logsumexp(lw) - logsumexp(pool.b))
+            lz = tilt(pool, inner.sigma_hat).log_z - tilt(pool, 0.0).log_z
             params = MutationParams.symmetric(theta, x.k)
             value = -inner.sigma_hat * h.value - lz + neutral_log_density(x, params)
         cache[theta] = (value, inner)
@@ -590,7 +634,7 @@ def bootstrap(
             sigma_lo=-config.mle.sigma_cap,
             sigma_hi=config.mle.sigma_cap,
         )
-        table = GSigmaTable(pool, config.mle.sigma_cap, config.table_points)
+        table = GSigmaTable(pool)
         estimates = _replicate_mles(h_values, k, pool, config.mle, table, config.workers)
 
     vals = np.array(
@@ -715,8 +759,13 @@ def posterior_sample(
     config = config or PosteriorConfig()
     theta_box = prior_bounds[0] if prior_bounds is not None else config.prior_theta
     sigma_box = prior_bounds[1] if prior_bounds is not None else config.prior_sigma
-    if not (math.isfinite(theta_box[1]) and math.isfinite(sigma_box[0]) and math.isfinite(sigma_box[1])):
+    if not all(math.isfinite(v) for v in (*theta_box, *sigma_box)):
         raise ValueError("uniform priors must be proper: finite bounds required")
+    if not (theta_box[0] < theta_box[1] and sigma_box[0] < sigma_box[1]):
+        # The truncated proposal below would redraw forever in an empty box.
+        raise ValueError(
+            f"prior bounds must be ordered lower < upper: theta {tuple(theta_box)}, sigma {tuple(sigma_box)}"
+        )
     if chain_length <= config.burn_in + 10:
         raise ValueError("chain_length must comfortably exceed burn_in")
     k = x.k
@@ -762,18 +811,18 @@ def posterior_sample(
         sigma_lo=min(sigma_box[0], -2.0 * NEGATIVE_MIXTURE_THRESHOLD),
         sigma_hi=max(sigma_box[1], 2.0 * MIXTURE_SIGMA_THRESHOLD),
     )
-    lse_cache: dict[float, tuple[np.ndarray, float]] = {}
+    base_cache: dict[float, tuple[np.ndarray, float]] = {}
 
     def base_weights(theta: float) -> tuple[np.ndarray, float]:
-        if theta not in lse_cache:
+        if theta not in base_cache:
             b = _symmetric_neutral_logpdf(theta, k, 0.0) + (theta / k - 1.0) * pool.s - pool.proposal_log_density
-            lse_cache.clear()  # single-entry cache: the chain only needs current + proposal
-            lse_cache[theta] = (b, float(logsumexp(b)))
-        return lse_cache[theta]
+            base_cache.clear()  # single-entry cache: the chain only needs current + proposal
+            base_cache[theta] = (b, tilt(pool, 0.0, b).log_z)
+        return base_cache[theta]
 
     def log_post(theta: float, sigma: float) -> float:
-        b, lse_b = base_weights(theta)
-        lz = float(logsumexp(b - sigma * pool.h)) - lse_b
+        b, lz0 = base_weights(theta)
+        lz = tilt(pool, sigma, b).log_z - lz0
         return -sigma * h.value - lz + _symmetric_neutral_logpdf(theta, k, log_x_sum)
 
     rng = derive_rng(seed, 7)
@@ -891,7 +940,7 @@ def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[Inter
             sig = float(np.clip(inner.sigma_hat, sigma_box[0], sigma_box[1]))
         else:
             sig = sigma_box[1] if inner.sigma_hat > 0 else sigma_box[0]
-        lz = float(logsumexp(b - sig * pool.h) - logsumexp(b))
+        lz = tilt(pool, sig, b).log_z - tilt(pool, 0.0, b).log_z
         return -sig * h.value - lz + _symmetric_neutral_logpdf(theta, k, log_x_sum), sig
 
     if chain.theta_fixed is not None:

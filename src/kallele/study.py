@@ -18,6 +18,7 @@ import numpy as np
 from .core import Homozygosity, MutationParams, SimplexPoint, parse_frequencies
 from .density import (
     WeightedPool,
+    _weights,
     cdf_homozygosity,
     pool_for_sigma_range,
     weighted_quantile,
@@ -110,7 +111,7 @@ def mle_curve(
     if list(h_grid) != sorted(h_grid):
         raise ValueError("h grid must be sorted ascending")
     config = config or MleConfig()
-    table = GSigmaTable(pool, config.sigma_cap)
+    table = GSigmaTable(pool)
     rows = []
     for hv in h_grid:
         res = mle_sigma(Homozygosity(value=float(hv), k=k), pool, config, table)
@@ -142,7 +143,7 @@ def sampling_distribution(
         params, pool_n, _subseed(seed, 1),
         sigma_lo=-mle_config.sigma_cap, sigma_hi=mle_config.sigma_cap,
     )
-    table = GSigmaTable(pool, mle_config.sigma_cap)
+    table = GSigmaTable(pool)
     return _replicate_mles(h_values, k, pool, mle_config, table)
 
 
@@ -207,8 +208,7 @@ def cdf_panel(
     edges = np.linspace(1.0 / pool.k, 1.0, bins + 1)
     hist_rows, summary_rows = [], []
     for sigma in sigma_values:
-        lw = pool.b - float(sigma) * pool.h
-        w = np.exp(lw - lw.max())
+        w = _weights(pool.b, pool.h, float(sigma))[0]
         w /= w.sum()
         mass, _ = np.histogram(pool.h, bins=edges, weights=w)
         for j in range(bins):
@@ -245,6 +245,16 @@ def _require(params: dict, names: list[str], kind: str) -> None:
         raise StudySchemaError(f"{kind} study spec missing parameters: {missing}", missing)
 
 
+def _number_list(params: dict, name: str, kind: str) -> list[float]:
+    """A list-of-numbers parameter, or a schema error naming it."""
+    value = params[name]
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise StudySchemaError(f"{kind}: {name} must be a list of numbers, got {value!r}", [name])
+    return [float(v) for v in value]
+
+
 def run_study(spec: StudySpec) -> dict:
     """Execute a study spec: compute tables, write CSVs and the JSON sidecar."""
     os.makedirs(spec.out, exist_ok=True)
@@ -255,7 +265,9 @@ def run_study(spec: StudySpec) -> dict:
         _require(p, ["k", "theta"], spec.kind)
         k = int(p["k"])
         grid = p.get("h_grid")
-        if grid is None:
+        if grid is not None:
+            grid = _number_list(p, "h_grid", spec.kind)
+        else:
             grid = np.linspace(1.0 / k + 0.002, 0.5, int(p.get("grid_points", 100))).tolist()
         if not grid:
             raise StudySchemaError("mle_curve: empty h_grid", ["h_grid"])
@@ -310,10 +322,10 @@ def run_study(spec: StudySpec) -> dict:
     elif spec.kind == "cdf_panel":
         _require(p, ["k", "theta", "h", "sigma_values"], spec.kind)
         k = int(p["k"])
-        if not p["sigma_values"]:
+        sig_values = _number_list(p, "sigma_values", spec.kind)
+        if not sig_values:
             raise StudySchemaError("cdf_panel: empty sigma_values", ["sigma_values"])
         params = MutationParams.symmetric(float(p["theta"]), k)
-        sig_values = [float(s) for s in p["sigma_values"]]
         pool = pool_for_sigma_range(
             params, int(p.get("pool_n", 100_000)), _subseed(spec.seed, 1),
             sigma_lo=min(sig_values + [0.0]), sigma_hi=max(sig_values + [0.0]),
@@ -365,7 +377,7 @@ def run_study(spec: StudySpec) -> dict:
 
     elif spec.kind == "instability_prob":
         _require(p, ["k", "theta", "sigma_grid", "epsilon"], spec.kind)
-        grid = list(p["sigma_grid"])
+        grid = _number_list(p, "sigma_grid", spec.kind)
         if not grid:
             raise StudySchemaError("instability_prob: empty sigma_grid", ["sigma_grid"])
         if grid != sorted(grid):
@@ -373,7 +385,7 @@ def run_study(spec: StudySpec) -> dict:
         rows = instability_probability(
             int(p["k"]),
             float(p["theta"]),
-            [float(s) for s in grid],
+            grid,
             float(p["epsilon"]),
             int(p.get("n_per_sigma", 1000)),
             spec.seed,

@@ -43,6 +43,8 @@ from kallele.sampler import _selection_arrays
 LYME = parse_frequencies("lyme")
 KIR = parse_frequencies("kir")
 
+pytestmark = pytest.mark.slow
+
 
 def finish(criterion: str, checks: list[tuple[str, bool, str]]) -> None:
     ok = all(c[1] for c in checks)

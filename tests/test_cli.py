@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import kallele.cli
 from kallele.cli import main
+from kallele.sampler import RejectionStarvedError
 
 
 def run_cli(*argv):
@@ -114,6 +116,12 @@ class TestAnalyze:
         assert code == 2
         assert "deviating" in capsys.readouterr().err
 
+    def test_reversed_prior_box_is_usage_error(self, capsys):
+        code = run_cli("analyze", "--data", "lyme", "--method", "posterior",
+                       "--prior-sigma", "10", "0", "--seed", "1")
+        assert code == 2
+        assert "lower < upper" in capsys.readouterr().err
+
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit) as err:
             run_cli("analyze", "--data", "lyme", "--method", "magic")
@@ -142,9 +150,33 @@ class TestStudyCommand:
         assert code == 2
         assert "out" in capsys.readouterr().err
 
+    def test_mistyped_field_is_schema_error(self, tmp_path, capsys):
+        spec = {"kind": "instability_prob",
+                "parameters": {"k": 10, "theta": 5.0, "sigma_grid": 5, "epsilon": 0.09},
+                "seed": 1, "out": str(tmp_path / "out")}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli("study", str(spec_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sigma_grid" in err and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code = run_cli("study", "/nonexistent/spec.json")
         assert code == 2
+
+
+class TestErrorMapping:
+    def test_rejection_starved_is_one_line_exit_2(self, tmp_path, monkeypatch, capsys):
+        def starved(*args, **kwargs):
+            raise RejectionStarvedError("rejection acceptance rate 1.0e-07 after 10000000 proposals")
+
+        monkeypatch.setattr(kallele.cli, "sample_selection", starved)
+        code = run_cli("simulate", "--k", "4", "--theta", "4.8", "--sigma", "40", "--n", "10",
+                       "--seed", "1", "--out", str(tmp_path / "x.jsonl"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rejection acceptance rate") and err.count("\n") == 1
 
 
 class TestEnvOverrides:

@@ -26,7 +26,7 @@ from kallele import (
     score_general,
     score_sigma,
 )
-from kallele.density import g_sigma_se, log_normalizer_se, pool_for_sigma_range
+from kallele.density import _weights, g_sigma_se, log_normalizer_se, pool_for_sigma_range, tilt
 
 import oracles
 
@@ -215,6 +215,47 @@ class TestGSigma:
     def test_reliability_warning(self, pool_k4):
         with pytest.warns(PoolReliabilityWarning):
             g_sigma(pool_k4, 5000.0, ess_floor=200.0)
+
+
+class TestTilt:
+    @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1e4])
+    def test_matches_unmasked_formulas(self, pool_k4, mixture_pool_k4, sigma):
+        hv = 0.3
+        for pool in (pool_k4, mixture_pool_k4):
+            t = tilt(pool, sigma, cdf_at=hv)
+            lw = pool.b - sigma * pool.h
+            shifted = lw - lw.max()
+            lse = logsumexp(shifted)
+            below = pool.h <= hv
+            assert t.log_z == pytest.approx(logsumexp(lw), rel=1e-12)
+            assert t.g == pytest.approx(math.exp(logsumexp(shifted, b=pool.h) - lse), rel=1e-12)
+            assert t.ess == pytest.approx(math.exp(2.0 * lse - logsumexp(2.0 * shifted)), rel=1e-12)
+            # weights below 2**-1020 of the largest are dropped by design
+            assert t.cdf == pytest.approx(math.exp(logsumexp(shifted[below]) - lse), rel=1e-12, abs=1e-300)
+
+    def test_derivative_is_minus_variance(self, mixture_pool_k4):
+        for sigma in (-100.0, 0.0, 35.1, 1600.0):
+            lw = mixture_pool_k4.b - sigma * mixture_pool_k4.h
+            w = np.exp(lw - lw.max())
+            w /= w.sum()
+            g = w @ mixture_pool_k4.h
+            var = w @ (mixture_pool_k4.h - g) ** 2
+            assert tilt(mixture_pool_k4, sigma).dg == pytest.approx(-var, rel=1e-9)
+
+    def test_exactly_monotone_on_fine_grid(self, pool_k4, mixture_pool_k4):
+        # no tolerance: saturated ends included
+        grid = np.linspace(-1e4, 1e4, 2000)
+        for pool in (pool_k4, mixture_pool_k4):
+            passes = [tilt(pool, s, cdf_at=0.3) for s in grid]
+            assert np.all(np.diff([t.g for t in passes]) <= 0.0)
+            assert np.all(np.diff([t.cdf for t in passes]) >= 0.0)
+
+    def test_weights_are_zero_or_normal(self, mixture_pool_k4):
+        for sigma in (-1e4, 1600.0, 1e4):
+            w = _weights(mixture_pool_k4.b, mixture_pool_k4.h, sigma)[0]
+            assert w.max() == 1.0
+            assert not np.any((w > 0.0) & (w < 2.0**-1020))
+            assert np.any(w == 0.0)
 
 
 class TestScoreSigma:

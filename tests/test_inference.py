@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from kallele import (
     Homozygosity,
@@ -21,7 +22,7 @@ from kallele import (
     posterior_sample,
     posterior_summary,
 )
-from kallele.density import g_sigma
+from kallele.density import g_sigma, pool_for_sigma_range
 from kallele.inference import (
     BootstrapConfig,
     GSigmaTable,
@@ -78,14 +79,38 @@ class TestMleSigma:
         assert "above-cap" in res.notes
 
     def test_warm_table_matches_cold(self, mixture_pool_k4):
-        table = GSigmaTable(mixture_pool_k4, 1e5, 256)
+        table = GSigmaTable(mixture_pool_k4)
         for hv in (0.28, 0.33, 0.45):
             h = Homozygosity(hv, 4)
             cold = mle_sigma(h, mixture_pool_k4)
             warm = mle_sigma(h, mixture_pool_k4, table=table)
-            # each run brackets the same root to within bracket_tol
-            assert warm.sigma_hat == pytest.approx(cold.sigma_hat, abs=2e-6)
+            # the memo replays the same passes, so the solves are identical
+            assert warm.sigma_hat == cold.sigma_hat
+            assert warm.bracket == cold.bracket
             assert warm.status == cold.status
+
+    def test_matches_brentq_root(self):
+        # The bootstrap's Lyme setting, where the far replicates sit at
+        # sigma_hat > 1000 on a nearly flat g (|g'| ~ 5e-7): the estimate
+        # must be the pool's own root to the stated tolerance.
+        theta = MutationParams.symmetric(4.8, 4)
+        pool = pool_for_sigma_range(theta, 100_000, 11, sigma_lo=-1e5, sigma_hi=1e5)
+        draws, _ = _selection_arrays(theta, 35.1, 400, 5, SamplerConfig())
+        hs = np.sort(np.einsum("ij,ij->i", draws, draws))
+        cfg = MleConfig()
+        far = 0
+        for hv in np.concatenate([hs[:6], hs[6::20]]):
+            res = mle_sigma(Homozygosity(float(hv), 4), pool, cfg)
+            if not res.converged:
+                continue
+            root = brentq(lambda s: g_sigma(pool, s) - hv, -cfg.sigma_cap, cfg.sigma_cap, xtol=1e-10)
+            assert abs(res.sigma_hat - root) <= 2 * cfg.bracket_tol, (hv, res.sigma_hat, root)
+            far += res.sigma_hat > 1000.0
+        assert far >= 1
+
+    def test_table_for_another_pool_rejected(self, pool_k4, mixture_pool_k4):
+        with pytest.raises(ValueError, match="another pool"):
+            mle_sigma(Homozygosity(0.3, 4), pool_k4, table=GSigmaTable(mixture_pool_k4))
 
     def test_monotone_in_data(self, mixture_pool_k4):
         hs = np.linspace(0.265, 0.6, 20)
@@ -145,7 +170,8 @@ class TestBootstrap:
         par = BootstrapConfig(pool_n=20_000, workers=3)
         r1 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=base)
         r2 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=par)
-        assert [e.sigma_hat for e in r1.estimates] == [e.sigma_hat for e in r2.estimates]
+        # threads share the pool and the bracket memo, never a pass buffer
+        np.testing.assert_equal([e.as_dict() for e in r1.estimates], [e.as_dict() for e in r2.estimates])
 
     def test_heavy_right_tail_under_strong_selection(self):
         # strong heterozygote advantage at high allele count: the sampling
@@ -304,6 +330,12 @@ class TestPosterior:
                 chain_length=2000,
                 seed=1,
             )
+
+    def test_reversed_prior_box_rejected(self):
+        # an empty box would make the truncated proposal redraw forever
+        for bounds in (((0.0, 50.0), (10.0, 0.0)), ((50.0, 0.0), (0.0, 1000.0))):
+            with pytest.raises(ValueError, match="lower < upper"):
+                posterior_sample(parse_frequencies("lyme"), prior_bounds=bounds, chain_length=2000, seed=1)
 
     def test_provenance_stamped(self, lyme_chain):
         d = lyme_chain.as_dict()

@@ -186,6 +186,20 @@ class TestRunStudy:
         with pytest.raises(StudySchemaError, match="sorted"):
             run_study(spec)
 
+    @pytest.mark.parametrize(
+        "kind, name, params",
+        [
+            ("instability_prob", "sigma_grid", {"k": 4, "theta": 5.0, "sigma_grid": 5, "epsilon": 0.2}),
+            ("mle_curve", "h_grid", {"k": 4, "theta": 5.0, "h_grid": ["0.3"]}),
+            ("cdf_panel", "sigma_values", {"k": 4, "theta": 5.0, "h": 0.3, "sigma_values": {"a": 1}}),
+        ],
+    )
+    def test_mistyped_list_is_schema_error(self, tmp_path, kind, name, params):
+        spec = StudySpec(kind=kind, parameters=params, seed=1, out=str(tmp_path / "t"))
+        with pytest.raises(StudySchemaError, match=name) as err:
+            run_study(spec)
+        assert err.value.fields == [name]
+
     def test_spec_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "mle_curve", "parameters": {"k": 4, "theta": 2.0}, "seed": 3, "out": str(tmp_path / "o")}))
