@@ -34,13 +34,11 @@ from .density import (
     build_pool,
     cdf_homozygosity,
     g_sigma,
-    load_pool_jsonl,
     log_likelihood,
     log_normalizer,
     neutral_log_density,
     optimal_composition,
     pool_for_sigma_range,
-    save_pool_jsonl,
     score_general,
     score_sigma,
 )

@@ -374,3 +374,40 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     worker count or evaluation order.
     """
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(path)))
+
+
+# Redrawn rows a Dirichlet draw may spend, per row asked for.
+_REDRAW_BUDGET = 100
+
+
+def _dirichlet(alphas: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` Dirichlet rows: ``alphas`` is one row of concentrations or one row per draw.
+
+    At small concentrations gamma variates underflow to 0, which puts a row
+    on the simplex boundary or, when every coordinate underflows, makes it
+    0/0 = NaN.  A row is redrawn unless every coordinate is > 0.  Draws with
+    no such row are exactly those of one ``rng.gamma`` call.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    k = alphas.shape[-1]
+    # NumPy draws the same gamma stream for a scalar shape as for a row of
+    # equal shapes, and draws it about 30% faster.
+    if alphas.ndim == 1 and (alphas == alphas[0]).all():
+        alphas = alphas[0]
+    budget = _REDRAW_BUDGET * size
+    with np.errstate(invalid="ignore"):
+        g = rng.gamma(alphas, size=(size, k))
+        x = g / g.sum(axis=1, keepdims=True)
+        bad = ~(x > 0.0).all(axis=1)
+        while bad.any():
+            n_bad = int(bad.sum())
+            budget -= n_bad
+            if budget < 0:
+                raise ValueError(
+                    f"Dirichlet concentration {float(alphas.min()):.3g} is too small to draw interior "
+                    f"points in float64: {_REDRAW_BUDGET * size} redrawn rows did not suffice"
+                )
+            g = rng.gamma(alphas if alphas.ndim < 2 else alphas[bad], size=(n_bad, k))
+            x[bad] = g / g.sum(axis=1, keepdims=True)
+            bad = ~(x > 0.0).all(axis=1)
+    return x

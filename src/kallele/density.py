@@ -22,7 +22,6 @@ asked, the CDF at one h.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from .core import (
     MutationParams,
     SelectionModel,
     SimplexPoint,
+    _dirichlet,
     derive_rng,
     quadratic_form,
 )
@@ -60,8 +60,6 @@ __all__ = [
     "cdf_homozygosity",
     "optimal_composition",
     "weighted_quantile",
-    "save_pool_jsonl",
-    "load_pool_jsonl",
     "DEFAULT_ESS_FLOOR",
     "MIXTURE_SIGMA_THRESHOLD",
     "DEFENSIVE_CONCENTRATIONS",
@@ -178,7 +176,10 @@ class WeightedPool:
             raise ValueError(f"pool has k={self.k}, target has k={theta.k}")
         if theta.mode == "symmetric":
             a = theta.total / theta.k
-            const = gammaln(theta.total) - theta.k * gammaln(a)
+            # A Python float: a NumPy-scalar constant makes the array
+            # arithmetic below markedly slower, and the posterior chain pays
+            # for this on every proposal.
+            const = float(gammaln(theta.total) - theta.k * gammaln(a))
             return const + (a - 1.0) * self.s - self.proposal_log_density
         if self.draws is None:
             raise ValueError("general per-allele reweighting requires a pool built with keep_draws=True")
@@ -216,23 +217,9 @@ def neutral_log_density(x: SimplexPoint, theta: MutationParams) -> float:
 def _draw_component(a: float, count: int, k: int, seed: int, component: int) -> np.ndarray:
     """Dirichlet(a, ..., a) draws in fixed chunks of per-chunk substreams."""
     out = np.empty((count, k), dtype=np.float64)
-    pos = 0
-    chunk_index = 0
-    while pos < count:
+    for chunk_index, pos in enumerate(range(0, count, _CHUNK)):
         size = min(_CHUNK, count - pos)
-        rng = derive_rng(seed, component, chunk_index)
-        g = rng.gamma(a, size=(size, k))
-        x = g / g.sum(axis=1, keepdims=True)
-        # Underflow to an exact zero coordinate is astronomically rare for
-        # a >= 0.05 but would poison the log-space bookkeeping; redraw.
-        bad = (x <= 0.0).any(axis=1)
-        while bad.any():
-            g2 = rng.gamma(a, size=(int(bad.sum()), k))
-            x[bad] = g2 / g2.sum(axis=1, keepdims=True)
-            bad = (x <= 0.0).any(axis=1)
-        out[pos : pos + size] = x
-        pos += size
-        chunk_index += 1
+        out[pos : pos + size] = _dirichlet(np.full(k, a), size, derive_rng(seed, component, chunk_index))
     return out
 
 
@@ -667,67 +654,3 @@ def optimal_composition(
 
     boundary = bool(best_x.min() < 1e-9)
     return OptimalComposition(point=best_x, value=best_val, boundary=boundary)
-
-
-def save_pool_jsonl(pool: WeightedPool, path: str) -> None:
-    """Persist a pool to portable JSON lines (header, then one draw per line)."""
-    if pool.draws is None:
-        raise ValueError("pool was built without draws; persistence requires them")
-    header = {
-        "kind": "weighted-pool",
-        "version": 1,
-        "n": pool.n,
-        "k": pool.k,
-        "seed": pool.seed,
-        "theta": {"mode": pool.theta.mode, "thetas": list(pool.theta.thetas), "theta": pool.theta.theta},
-        "concentrations": list(pool.concentrations),
-        "component_counts": list(pool.component_counts),
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for i in range(pool.n):
-            row = {
-                "x": [float(v) for v in pool.draws[i]],
-                "h": float(pool.h[i]),
-                "b": float(pool.b[i]),
-                "s": float(pool.s[i]),
-                "q": float(pool.proposal_log_density[i]),
-            }
-            fh.write(json.dumps(row) + "\n")
-
-
-def load_pool_jsonl(path: str) -> WeightedPool:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "weighted-pool":
-            raise ValueError(f"{path}: not a weighted-pool file")
-        n, k = int(header["n"]), int(header["k"])
-        draws = np.empty((n, k), dtype=np.float64)
-        h = np.empty(n)
-        b = np.empty(n)
-        s = np.empty(n)
-        pld = np.empty(n)
-        for i in range(n):
-            row = json.loads(fh.readline())
-            draws[i] = row["x"]
-            h[i], b[i], s[i], pld[i] = row["h"], row["b"], row["s"], row["q"]
-    td = header["theta"]
-    if td["mode"] == "symmetric":
-        theta = MutationParams.symmetric(td["theta"], k)
-    else:
-        theta = MutationParams.general(td["thetas"])
-    return WeightedPool(
-        h=h,
-        s=s,
-        b=b,
-        proposal_log_density=pld,
-        draws=draws,
-        theta=theta,
-        concentrations=tuple(header["concentrations"]),
-        component_counts=tuple(header["component_counts"]),
-        seed=int(header["seed"]),
-        n=n,
-        k=k,
-        h_min=float(h.min()),
-        h_max=float(h.max()),
-    )

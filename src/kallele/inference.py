@@ -22,25 +22,28 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     Homozygosity,
     MutationParams,
+    SelectionModel,
     SimplexPoint,
     derive_rng,
     homozygosity,
 )
 from .density import (
     DEFAULT_ESS_FLOOR,
+    DEFENSIVE_CONCENTRATIONS,
     MIXTURE_SIGMA_THRESHOLD,
     NEGATIVE_MIXTURE_THRESHOLD,
     WeightedPool,
     Tilt,
     build_mixture_pool,
     cdf_homozygosity,
+    log_likelihood,
     neutral_log_density,
     pool_for_sigma_range,
     tilt,
@@ -70,6 +73,24 @@ STATUS_CONVERGED = "converged"
 STATUS_UNBOUNDED_ABOVE = "unbounded_above"
 STATUS_UNBOUNDED_BELOW = "unbounded_below"
 STATUS_OUTSIDE_POOL_RANGE = "outside_pool_range"
+
+# Data within the h-range of the pool's MIN_SUPPORT most extreme draws is
+# classified unbounded: an estimate hanging on a handful of draws is the
+# singularity showing through, not a number.
+MIN_SUPPORT = 10
+# A bootstrap with more unbounded replicates than this fraction has a heavy
+# tail: its standard error is reported as undefined.
+HEAVY_TAIL_FRACTION = 0.2
+# Flat priors on a box, used when no prior_bounds are given.  The sigma prior
+# covers the heterozygote advantage regime: with theta free and sigma allowed
+# far below zero, the likelihood carries a genuine ridge at (large theta,
+# sigma < 0) that the reference analyses never sampled; widen explicitly to
+# explore it.
+DEFAULT_PRIOR_BOUNDS = ((0.0, 50.0), (0.0, 1000.0))
+# The Laplace sigma proposal's scale, in widths of the pilot 95% exact CI.
+PROPOSAL_SCALE_FACTOR = 2.0
+# A chain accepting less often than this carries a "proposal-mistuned" note.
+ACCEPTANCE_FLAG = 0.02
 
 
 @dataclass(frozen=True)
@@ -218,11 +239,6 @@ class MleConfig:
     bracket_tol: float = 1e-6
     sigma_cap: float = 1e5
     bracket_init: float = 64.0
-    # Data within the h-range of the pool's min_support most extreme draws
-    # is classified unbounded: an estimate hanging on a handful of draws is
-    # the singularity showing through, not a number.
-    min_support: int = 10
-    ess_floor: float = DEFAULT_ESS_FLOOR
 
 
 @dataclass(frozen=True)
@@ -231,18 +247,14 @@ class JointMleConfig:
     theta_tol: float = 1e-3
     pool_n: int = 100_000
     coarse_points: int = 12
-    mle: MleConfig = field(default_factory=MleConfig)
-    concentrations: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
     level: float = 0.95
     pool_n: int = 100_000
-    heavy_tail_threshold: float = 0.2
     joint_refit: bool = False
     workers: int = 1
-    mle: MleConfig = field(default_factory=MleConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     joint: JointMleConfig = field(default_factory=lambda: JointMleConfig(pool_n=20_000))
 
@@ -255,18 +267,9 @@ class MonotoneCiConfig:
 
 @dataclass(frozen=True)
 class PosteriorConfig:
-    # Flat priors on a box.  The sigma prior defaults to the heterozygote
-    # advantage regime: with theta free and sigma allowed far below zero,
-    # the likelihood carries a genuine ridge at (large theta, sigma < 0)
-    # that the reference analyses never sampled; widen explicitly to
-    # explore it.
-    prior_theta: tuple[float, float] = (0.0, 50.0)
-    prior_sigma: tuple[float, float] = (0.0, 1000.0)
     burn_in: int = 1000
     pool_n: int = 100_000
     pilot_pool_n: int = 30_000
-    proposal_scale_factor: float = 2.0
-    acceptance_flag: float = 0.02
     theta_fixed: float | None = None
 
 
@@ -314,7 +317,7 @@ def mle_sigma(
     """
     config = config or MleConfig()
     hv = float(h.value)
-    margin_lo, margin_hi = pool.support_margin(config.min_support)
+    margin_lo, margin_hi = pool.support_margin(MIN_SUPPORT)
     if hv <= pool.h_min + margin_lo:
         return MleResult(
             sigma_hat=math.inf,
@@ -430,7 +433,7 @@ def mle_sigma(
         older_step, last_step = last_step, abs(step)
         sigma, t = nxt, tilt(pool, nxt, b)
 
-    if t.ess < config.ess_floor:
+    if t.ess < DEFAULT_ESS_FLOOR:
         # The root exists on the empirical curve but hangs on a handful of
         # draws: that is the likelihood singularity showing through the
         # pool, not a reportable estimate.
@@ -442,7 +445,7 @@ def mle_sigma(
             score_at_solution=math.nan,
             bracket=(lo, hi),
             ess_at_solution=t.ess,
-            notes=(f"ess {t.ess:.1f} below floor {config.ess_floor:g} at sigma={sigma:.4g}",),
+            notes=(f"ess {t.ess:.1f} below floor {DEFAULT_ESS_FLOOR:g} at sigma={sigma:.4g}",),
         )
     return MleResult(
         sigma_hat=sigma,
@@ -454,17 +457,36 @@ def mle_sigma(
     )
 
 
-def _profile_pool(x: SimplexPoint, theta: float, seed: int, config: JointMleConfig) -> WeightedPool:
-    params = MutationParams.symmetric(theta, x.k)
-    if config.concentrations is None:
-        # Defensive mixture regardless of theta: a lone a = theta/k proposal
-        # at small theta draws only near-vertex populations and cannot see
-        # moderate homozygosities at all.
-        base = theta / x.k
-        concs = (base,) + tuple(c for c in (2.0, 8.0) if c != base)
-    else:
-        concs = config.concentrations
-    return build_mixture_pool(params, concs, config.pool_n, seed, keep_draws=False)
+def _profile_pool(params: MutationParams, seed: int, n: int) -> WeightedPool:
+    # Defensive mixture regardless of theta: a lone a = theta/k proposal at
+    # small theta draws only near-vertex populations and cannot see moderate
+    # homozygosities at all.
+    base = params.total / params.k
+    concs = (base,) + tuple(c for c in DEFENSIVE_CONCENTRATIONS if c != base)
+    return build_mixture_pool(params, concs, n, seed, keep_draws=False)
+
+
+def _maximize_theta(f: Callable[[float], float], grid: np.ndarray, tol: float) -> float:
+    """Maximize f: the best point of a coarse grid, then golden section between its neighbours."""
+    best = int(np.argmax([f(float(t)) for t in grid]))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo = x1
+            x1, f1 = x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi = x2
+            x2, f2 = x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    return 0.5 * (lo + hi)
 
 
 def mle_joint(
@@ -484,28 +506,22 @@ def mle_joint(
     cache: dict[float, tuple[float, MleResult]] = {}
 
     def profile(theta: float) -> tuple[float, MleResult]:
-        if theta in cache:
-            return cache[theta]
-        pool = _profile_pool(x, theta, seed, config)
-        inner = mle_sigma(h, pool, config.mle)
-        if inner.status in (STATUS_UNBOUNDED_ABOVE, STATUS_UNBOUNDED_BELOW):
-            value = math.inf
-        elif inner.status == STATUS_OUTSIDE_POOL_RANGE:
-            value = -math.inf
-        else:
-            lz = tilt(pool, inner.sigma_hat).log_z - tilt(pool, 0.0).log_z
+        if theta not in cache:
             params = MutationParams.symmetric(theta, x.k)
-            value = -inner.sigma_hat * h.value - lz + neutral_log_density(x, params)
-        cache[theta] = (value, inner)
+            pool = _profile_pool(params, seed, config.pool_n)
+            inner = mle_sigma(h, pool)
+            if inner.status in (STATUS_UNBOUNDED_ABOVE, STATUS_UNBOUNDED_BELOW):
+                value = math.inf
+            elif inner.status == STATUS_OUTSIDE_POOL_RANGE:
+                value = -math.inf
+            else:
+                value = log_likelihood(x, params, SelectionModel.overdominance(inner.sigma_hat), pool)
+            cache[theta] = (value, inner)
         return cache[theta]
 
     t_lo, t_hi = config.theta_bounds
     grid = np.geomspace(t_lo, t_hi, config.coarse_points)
-    values = []
-    for t in grid:
-        v, inner = profile(float(t))
-        values.append(v)
-    if all(math.isinf(v) and v > 0 for v in values):
+    if all(profile(float(t))[0] == math.inf for t in grid):
         # Every conditional likelihood is unbounded: the data sit at the
         # singular composition itself, not in a pool blind spot.
         _, inner = profile(float(grid[0]))
@@ -514,35 +530,14 @@ def mle_joint(
             theta_hat=None,
             notes=inner.notes + ("likelihood unbounded in sigma at every theta",),
         )
-    # Isolated unbounded statuses at extreme thetas are pool blind spots;
-    # exclude them from the outer search rather than crowning them.
-    values = [-math.inf if (math.isinf(v) and v > 0) else v for v in values]
-    best = int(np.argmax(values))
-    a = float(grid[max(best - 1, 0)])
-    c = float(grid[min(best + 1, len(grid) - 1)])
 
     def fval(theta: float) -> float:
+        # Isolated unbounded statuses at extreme thetas are pool blind spots;
+        # exclude them from the outer search rather than crowning them.
         v, _ = profile(theta)
-        return -math.inf if (math.isinf(v) and v > 0) else v
+        return -math.inf if v == math.inf else v
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = a, c
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = fval(x1)
-    f2 = fval(x2)
-    while hi - lo > config.theta_tol:
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fval(x2)
-        else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fval(x1)
-    theta_hat = 0.5 * (lo + hi)
+    theta_hat = _maximize_theta(fval, grid, config.theta_tol)
     _, inner = profile(theta_hat)
 
     notes = inner.notes
@@ -627,15 +622,16 @@ def bootstrap(
             point = SimplexPoint(row)
             estimates.append(mle_joint(point, _subseed(seed, 3, j), joint_cfg))
     else:
+        mle_config = MleConfig()
         pool = pool_for_sigma_range(
             params,
             config.pool_n,
             _subseed(seed, 1),
-            sigma_lo=-config.mle.sigma_cap,
-            sigma_hi=config.mle.sigma_cap,
+            sigma_lo=-mle_config.sigma_cap,
+            sigma_hi=mle_config.sigma_cap,
         )
         table = GSigmaTable(pool)
-        estimates = _replicate_mles(h_values, k, pool, config.mle, table, config.workers)
+        estimates = _replicate_mles(h_values, k, pool, mle_config, table, config.workers)
 
     vals = np.array(
         [
@@ -649,7 +645,7 @@ def bootstrap(
     n_unbounded = sum(
         r.status in (STATUS_UNBOUNDED_ABOVE, STATUS_UNBOUNDED_BELOW) for r in estimates
     )
-    heavy = n_unbounded > config.heavy_tail_threshold * m
+    heavy = n_unbounded > HEAVY_TAIL_FRACTION * m
     se = float(np.std(finite, ddof=1)) if finite.size >= 2 else math.nan
 
     alpha = 1.0 - config.level
@@ -735,11 +731,6 @@ def _subseed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(int(seed), spawn_key=tuple(path)).generate_state(1, np.uint32)[0])
 
 
-def _symmetric_neutral_logpdf(theta: float, k: int, log_x_sum: float) -> float:
-    a = theta / k
-    return float(gammaln(theta) - k * gammaln(a) + (a - 1.0) * log_x_sum)
-
-
 def posterior_sample(
     x: SimplexPoint,
     prior_bounds: tuple[tuple[float, float], tuple[float, float]] | None = None,
@@ -757,8 +748,7 @@ def posterior_sample(
     prior-bound-sensitive; the bounds are stamped into the chain.
     """
     config = config or PosteriorConfig()
-    theta_box = prior_bounds[0] if prior_bounds is not None else config.prior_theta
-    sigma_box = prior_bounds[1] if prior_bounds is not None else config.prior_sigma
+    theta_box, sigma_box = prior_bounds if prior_bounds is not None else DEFAULT_PRIOR_BOUNDS
     if not all(math.isfinite(v) for v in (*theta_box, *sigma_box)):
         raise ValueError("uniform priors must be proper: finite bounds required")
     if not (theta_box[0] < theta_box[1] and sigma_box[0] < sigma_box[1]):
@@ -770,7 +760,6 @@ def posterior_sample(
         raise ValueError("chain_length must comfortably exceed burn_in")
     k = x.k
     h = homozygosity(x)
-    log_x_sum = float(np.log(x.as_array()).sum())
 
     # Pilot estimates locate and scale the sigma proposal.
     if config.theta_fixed is not None:
@@ -799,7 +788,7 @@ def posterior_sample(
     pilot_ci = monotone_ci(
         h, pilot_pool, 0.025, 0.025, MonotoneCiConfig(sigma_range=(sigma_box[0] - 1.0, max(sigma_box[1], 2000.0)))
     )
-    scale = config.proposal_scale_factor * max(pilot_ci.width, 1.0)
+    scale = PROPOSAL_SCALE_FACTOR * max(pilot_ci.width, 1.0)
     scale = float(np.clip(scale, 5.0, 4.0 * (sigma_box[1] - sigma_box[0])))
 
     # The chain's likelihood pool: defensive mixture around the pilot theta,
@@ -811,19 +800,22 @@ def posterior_sample(
         sigma_lo=min(sigma_box[0], -2.0 * NEGATIVE_MIXTURE_THRESHOLD),
         sigma_hi=max(sigma_box[1], 2.0 * MIXTURE_SIGMA_THRESHOLD),
     )
-    base_cache: dict[float, tuple[np.ndarray, float]] = {}
+    base_cache: dict[float, tuple[np.ndarray, float, float]] = {}
 
-    def base_weights(theta: float) -> tuple[np.ndarray, float]:
+    def base_weights(theta: float) -> tuple[np.ndarray, float, float]:
+        """The pool reweighted to theta, its log weight total at sigma = 0, and the data's neutral term."""
         if theta not in base_cache:
-            b = _symmetric_neutral_logpdf(theta, k, 0.0) + (theta / k - 1.0) * pool.s - pool.proposal_log_density
+            params = MutationParams.symmetric(theta, k)
+            b = pool.base_log_weights_for(params)
             base_cache.clear()  # single-entry cache: the chain only needs current + proposal
-            base_cache[theta] = (b, tilt(pool, 0.0, b).log_z)
+            base_cache[theta] = (b, tilt(pool, 0.0, b).log_z, neutral_log_density(x, params))
         return base_cache[theta]
 
     def log_post(theta: float, sigma: float) -> float:
-        b, lz0 = base_weights(theta)
+        # log_likelihood would make a second pass, at sigma = 0, per proposal.
+        b, lz0, neutral = base_weights(theta)
         lz = tilt(pool, sigma, b).log_z - lz0
-        return -sigma * h.value - lz + _symmetric_neutral_logpdf(theta, k, log_x_sum)
+        return -sigma * h.value - lz + neutral
 
     rng = derive_rng(seed, 7)
     total = int(chain_length)
@@ -874,8 +866,8 @@ def posterior_sample(
 
     rate = n_accept / total
     notes: tuple[str, ...] = ()
-    if rate < config.acceptance_flag:
-        notes = (f"proposal-mistuned: acceptance rate {rate:.4f} below {config.acceptance_flag}",)
+    if rate < ACCEPTANCE_FLAG:
+        notes = (f"proposal-mistuned: acceptance rate {rate:.4f} below {ACCEPTANCE_FLAG}",)
     return PosteriorChain(
         thetas=thetas,
         sigmas=sigmas,
@@ -922,7 +914,6 @@ def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[Inter
     k = x.k
     h = homozygosity(x)
     theta_box, sigma_box = chain.prior_bounds
-    log_x_sum = float(np.log(x.as_array()).sum())
     pilot_theta = chain.theta_fixed if chain.theta_fixed is not None else float(np.median(chain.thetas))
     pool = build_mixture_pool(
         MutationParams.symmetric(pilot_theta, k),
@@ -931,45 +922,21 @@ def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[Inter
         chain.pool_seed,
         keep_draws=False,
     )
-    mcfg = MleConfig()
 
     def profile(theta: float) -> tuple[float, float]:
-        b = _symmetric_neutral_logpdf(theta, k, 0.0) + (theta / k - 1.0) * pool.s - pool.proposal_log_density
-        inner = mle_sigma(h, pool, mcfg, b=b)
+        params = MutationParams.symmetric(theta, k)
+        inner = mle_sigma(h, pool, b=pool.base_log_weights_for(params))
         if inner.converged:
             sig = float(np.clip(inner.sigma_hat, sigma_box[0], sigma_box[1]))
         else:
             sig = sigma_box[1] if inner.sigma_hat > 0 else sigma_box[0]
-        lz = tilt(pool, sig, b).log_z - tilt(pool, 0.0, b).log_z
-        return -sig * h.value - lz + _symmetric_neutral_logpdf(theta, k, log_x_sum), sig
+        return log_likelihood(x, params, SelectionModel.overdominance(sig), pool), sig
 
     if chain.theta_fixed is not None:
         _, sig = profile(float(chain.theta_fixed))
         return interval, (float(chain.theta_fixed), sig)
 
-    t_lo = max(theta_box[0], 1e-3)
-    t_hi = theta_box[1]
-    grid = np.geomspace(t_lo, t_hi, 12)
-    vals = [profile(float(t))[0] for t in grid]
-    best = int(np.argmax(vals))
-    lo_t = float(grid[max(best - 1, 0)])
-    hi_t = float(grid[min(best + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi_t - invphi * (hi_t - lo_t)
-    x2 = lo_t + invphi * (hi_t - lo_t)
-    f1, _ = profile(x1)
-    f2, _ = profile(x2)
-    while hi_t - lo_t > 1e-3:
-        if f1 < f2:
-            lo_t = x1
-            x1, f1 = x2, f2
-            x2 = lo_t + invphi * (hi_t - lo_t)
-            f2, _ = profile(x2)
-        else:
-            hi_t = x2
-            x2, f2 = x1, f1
-            x1 = hi_t - invphi * (hi_t - lo_t)
-            f1, _ = profile(x1)
-    theta_mode = 0.5 * (lo_t + hi_t)
+    grid = np.geomspace(max(theta_box[0], 1e-3), theta_box[1], 12)
+    theta_mode = _maximize_theta(lambda t: profile(t)[0], grid, 1e-3)
     _, sigma_mode = profile(theta_mode)
     return interval, (theta_mode, sigma_mode)

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MutationParams, SelectionModel, SimplexPoint, derive_rng
+from .core import MutationParams, SelectionModel, SimplexPoint, _dirichlet, derive_rng
 from .density import g_sigma, pool_for_sigma_range
 
 __all__ = [
@@ -41,21 +41,24 @@ class RejectionStarvedError(RuntimeError):
     """Rejection sampling fell below its minimum acceptance rate."""
 
 
+# Rejection against the neutral proposal starves far earlier for homozygote
+# advantage; the negative side switches to MH at this |sigma|.
+SIGMA_SWITCH_NEGATIVE = 10.0
+MH_BURN_IN = 1000
+MH_THIN_CAP = 100
+# An MH run accepting less often than this is flagged "low-acceptance".
+MH_FLAG_ACCEPTANCE = 0.05
+TUNING_POOL_SIZE = 20_000
+# Clip of the moment-matched symmetric proposal concentration.
+PROPOSAL_CONCENTRATION_RANGE = (0.05, 1e4)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     sigma_switch: float = 50.0
-    # Rejection against the neutral proposal starves far earlier for
-    # homozygote advantage; the negative side switches to MH sooner.
-    sigma_switch_negative: float = 10.0
     force_method: str | None = None
-    burn_in: int = 1000
-    thin_cap: int = 100
     max_rejection_proposals: int = 10_000_000
     min_acceptance: float = 1e-6
-    mh_flag_acceptance: float = 0.05
-    tuning_pool_size: int = 20_000
-    proposal_concentration_floor: float = 0.05
-    proposal_concentration_cap: float = 1e4
 
 
 @dataclass(frozen=True)
@@ -72,23 +75,12 @@ class SamplerReport:
     burn_in: int | None = None
 
 
-def _dirichlet_block(alphas: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.gamma(alphas, size=(size, alphas.size))
-    x = g / g.sum(axis=1, keepdims=True)
-    bad = (x <= 0.0).any(axis=1)
-    while bad.any():
-        g2 = rng.gamma(alphas, size=(int(bad.sum()), alphas.size))
-        x[bad] = g2 / g2.sum(axis=1, keepdims=True)
-        bad = (x <= 0.0).any(axis=1)
-    return x
-
-
 def sample_neutral(theta: MutationParams, n: int, seed: int) -> list[SimplexPoint]:
     """Independent draws from the neutral Dirichlet stationary law."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = derive_rng(seed, 11)
-    x = _dirichlet_block(theta.alphas(), n, rng)
+    x = _dirichlet(theta.alphas(), n, rng)
     return [SimplexPoint(row) for row in x]
 
 
@@ -109,7 +101,7 @@ def _rejection_arrays(
     block = 0
     while n_acc < n:
         rng = derive_rng(seed, 21, block)
-        x = _dirichlet_block(alphas, batch, rng)
+        x = _dirichlet(alphas, batch, rng)
         h = np.einsum("ij,ij->i", x, x)
         log_accept = -sigma * (h - h_opt)
         keep = np.log(rng.random(batch)) < log_accept
@@ -135,10 +127,10 @@ def _rejection_arrays(
     return draws, report
 
 
-def _tuning_mean_h(theta: MutationParams, sigma: float, seed: int, config: SamplerConfig) -> float:
+def _tuning_mean_h(theta: MutationParams, sigma: float, seed: int) -> float:
     tpool = pool_for_sigma_range(
         theta,
-        config.tuning_pool_size,
+        TUNING_POOL_SIZE,
         seed,
         sigma_lo=min(sigma, 0.0),
         sigma_hi=max(sigma, 0.0),
@@ -147,12 +139,12 @@ def _tuning_mean_h(theta: MutationParams, sigma: float, seed: int, config: Sampl
     return g_sigma(tpool, sigma)
 
 
-def _matched_concentration(theta: MutationParams, sigma: float, seed: int, config: SamplerConfig) -> float:
+def _matched_concentration(theta: MutationParams, sigma: float, seed: int) -> float:
     """Symmetric proposal concentration whose mean homozygosity matches the target mean."""
     k = theta.k
-    g_hat = _tuning_mean_h(theta, sigma, seed, config)
+    g_hat = _tuning_mean_h(theta, sigma, seed)
     a = (1.0 - g_hat) / (k * g_hat - 1.0)
-    return float(np.clip(a, config.proposal_concentration_floor, config.proposal_concentration_cap))
+    return float(np.clip(a, *PROPOSAL_CONCENTRATION_RANGE))
 
 
 def _vertex_mixture_mean_h(alphas: np.ndarray, boost: float) -> float:
@@ -167,7 +159,7 @@ def _vertex_mixture_mean_h(alphas: np.ndarray, boost: float) -> float:
     return acc / k
 
 
-def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int, config: SamplerConfig) -> float:
+def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int) -> float:
     """Boost A for the vertex-mixture proposal (1/k) sum_j Dir(theta + A e_j).
 
     A homozygote-advantage target concentrates near the vertices with its
@@ -177,7 +169,7 @@ def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int, config
     target mean.
     """
     alphas = theta.alphas()
-    g_hat = min(max(_tuning_mean_h(theta, sigma, seed, config), _vertex_mixture_mean_h(alphas, 1e-9) + 1e-9), 0.995)
+    g_hat = min(max(_tuning_mean_h(theta, sigma, seed), _vertex_mixture_mean_h(alphas, 1e-9) + 1e-9), 0.995)
     lo, hi = 1e-9, 1e9
     while _vertex_mixture_mean_h(alphas, hi) < g_hat:
         hi *= 10.0
@@ -199,7 +191,6 @@ def _mh_arrays(
     model: SelectionModel,
     n: int,
     seed: int,
-    config: SamplerConfig,
 ) -> tuple[np.ndarray, SamplerReport]:
     k = theta.k
     alphas = theta.alphas()
@@ -216,7 +207,7 @@ def _mh_arrays(
         # mixture of one-coordinate-boosted neutral Dirichlets.  The
         # unboosted exponents match the target's, so the score is just the
         # tilt minus the boost mixture term.
-        boost = _matched_vertex_boost(theta, sigma, seed, config)
+        boost = _matched_vertex_boost(theta, sigma, seed)
         kind = "vertex-mixture"
         a_prop = boost
         from scipy.special import gammaln, logsumexp
@@ -227,26 +218,19 @@ def _mh_arrays(
             which = rng.integers(k, size=size)
             al = np.tile(alphas, (size, 1))
             al[np.arange(size), which] += boost
-            g = rng.gamma(al)
-            x = g / g.sum(axis=1, keepdims=True)
-            bad = (x <= 0.0).any(axis=1)
-            while bad.any():
-                g2 = rng.gamma(al[bad])
-                x[bad] = g2 / g2.sum(axis=1, keepdims=True)
-                bad = (x <= 0.0).any(axis=1)
-            return x
+            return _dirichlet(al, size, rng)
 
         def scores(x: np.ndarray) -> np.ndarray:
             return tilt(x) - logsumexp(boost * np.log(x) + d_const, axis=1)
 
     elif model.mode == "symmetric":
-        a_prop = _matched_concentration(theta, sigma, seed, config)
+        a_prop = _matched_concentration(theta, sigma, seed)
         kind = "symmetric-dirichlet"
         prop_alphas = np.full(k, a_prop)
         exponent = alphas - prop_alphas
 
         def draw_block(size: int, rng: np.random.Generator) -> np.ndarray:
-            return _dirichlet_block(prop_alphas, size, rng)
+            return _dirichlet(prop_alphas, size, rng)
 
         def scores(x: np.ndarray) -> np.ndarray:
             return tilt(x) + np.log(x) @ exponent
@@ -258,7 +242,7 @@ def _mh_arrays(
         kind = "neutral"
 
         def draw_block(size: int, rng: np.random.Generator) -> np.ndarray:
-            return _dirichlet_block(alphas, size, rng)
+            return _dirichlet(alphas, size, rng)
 
         def scores(x: np.ndarray) -> np.ndarray:
             return tilt(x)
@@ -293,15 +277,15 @@ def _mh_arrays(
             block += 1
         return kept, accepts
 
-    _, burn_accepts = run_phase(config.burn_in, 0, None)
-    acc_burn = max(burn_accepts / max(config.burn_in, 1), 1.0 / max(config.burn_in, 1))
-    thin = min(int(math.ceil(5.0 / acc_burn)), config.thin_cap)
+    _, burn_accepts = run_phase(MH_BURN_IN, 0, None)
+    acc_burn = max(burn_accepts / max(MH_BURN_IN, 1), 1.0 / max(MH_BURN_IN, 1))
+    thin = min(int(math.ceil(5.0 / acc_burn)), MH_THIN_CAP)
     kept, samp_accepts = run_phase(n * thin, 1, thin)
 
-    total_steps = config.burn_in + n * thin
+    total_steps = MH_BURN_IN + n * thin
     rate = (burn_accepts + samp_accepts) / total_steps
     flags: tuple[str, ...] = ()
-    if rate < config.mh_flag_acceptance:
+    if rate < MH_FLAG_ACCEPTANCE:
         flags = ("low-acceptance",)
     report = SamplerReport(
         method="independence-mh",
@@ -313,7 +297,7 @@ def _mh_arrays(
         proposal_concentration=a_prop,
         proposal_kind=kind,
         thin=thin,
-        burn_in=config.burn_in,
+        burn_in=MH_BURN_IN,
     )
     return np.asarray(kept), report
 
@@ -338,14 +322,14 @@ def _selection_arrays(
             raise ValueError("rejection sampling requires the scalar overdominance model")
         return _rejection_arrays(theta, float(model.sigma), n, seed, config)
     if config.force_method == "independence-mh":
-        return _mh_arrays(theta, model, n, seed, config)
+        return _mh_arrays(theta, model, n, seed)
     if model.mode != "symmetric":
-        return _mh_arrays(theta, model, n, seed, config)
+        return _mh_arrays(theta, model, n, seed)
     sigma = float(model.sigma)
-    switch = config.sigma_switch if sigma >= 0.0 else config.sigma_switch_negative
+    switch = config.sigma_switch if sigma >= 0.0 else SIGMA_SWITCH_NEGATIVE
     if abs(sigma) <= switch:
         return _rejection_arrays(theta, sigma, n, seed, config)
-    return _mh_arrays(theta, model, n, seed, config)
+    return _mh_arrays(theta, model, n, seed)
 
 
 def sample_selection(

@@ -82,13 +82,17 @@ class StudySpec:
     def from_json(cls, path: str) -> "StudySpec":
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise StudySchemaError("study spec must be a JSON object", ["kind", "parameters", "seed", "out"])
         missing = [f for f in ("kind", "parameters", "seed", "out") if f not in obj]
         if missing:
             raise StudySchemaError(f"study spec missing fields: {missing}", missing)
+        if not isinstance(obj["parameters"], dict):
+            raise StudySchemaError("study spec parameters must be an object", ["parameters"])
         return cls(
             kind=str(obj["kind"]),
             parameters=dict(obj["parameters"]),
-            seed=int(obj["seed"]),
+            seed=int(_number(obj, "seed", "study spec")),
             out=str(obj["out"]),
         )
 
@@ -245,13 +249,29 @@ def _require(params: dict, names: list[str], kind: str) -> None:
         raise StudySchemaError(f"{kind} study spec missing parameters: {missing}", missing)
 
 
-def _number_list(params: dict, name: str, kind: str) -> list[float]:
-    """A list-of-numbers parameter, or a schema error naming it."""
+def _is_number(value) -> bool:
+    # JSON numbers such as 1e400 parse to inf, which int() cannot take.
+    return (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and math.isfinite(value)
+    )
+
+
+def _number(params: dict, name: str, kind: str, default: float | None = None) -> float:
+    """A numeric parameter (``default`` when absent), or a schema error naming it."""
+    value = params.get(name, default)
+    if not _is_number(value):
+        raise StudySchemaError(f"{kind}: {name} must be a finite number, got {value!r}", [name])
+    return value
+
+
+def _number_list(params: dict, name: str, kind: str, length: int | None = None) -> list[float]:
+    """A list-of-numbers parameter (of ``length`` entries if given), or a schema error naming it."""
     value = params[name]
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    if not isinstance(value, list) or not all(_is_number(v) for v in value) or (
+        length is not None and len(value) != length
     ):
-        raise StudySchemaError(f"{kind}: {name} must be a list of numbers, got {value!r}", [name])
+        size = "a list of finite numbers" if length is None else f"a list of {length} finite numbers"
+        raise StudySchemaError(f"{kind}: {name} must be {size}, got {value!r}", [name])
     return [float(v) for v in value]
 
 
@@ -261,22 +281,26 @@ def run_study(spec: StudySpec) -> dict:
     p = spec.parameters
     outputs: dict[str, str] = {}
 
+    def num(name: str, default: float | None = None) -> float:
+        return _number(p, name, spec.kind, default)
+
     if spec.kind == "mle_curve":
         _require(p, ["k", "theta"], spec.kind)
-        k = int(p["k"])
+        k = int(num("k"))
+        theta = float(num("theta"))
         grid = p.get("h_grid")
         if grid is not None:
             grid = _number_list(p, "h_grid", spec.kind)
         else:
-            grid = np.linspace(1.0 / k + 0.002, 0.5, int(p.get("grid_points", 100))).tolist()
+            grid = np.linspace(1.0 / k + 0.002, 0.5, int(num("grid_points", 100))).tolist()
         if not grid:
             raise StudySchemaError("mle_curve: empty h_grid", ["h_grid"])
-        params = MutationParams.symmetric(float(p["theta"]), k)
+        params = MutationParams.symmetric(theta, k)
         pool = pool_for_sigma_range(
-            params, int(p.get("pool_n", 100_000)), _subseed(spec.seed, 1),
+            params, int(num("pool_n", 100_000)), _subseed(spec.seed, 1),
             sigma_lo=-1e5, sigma_hi=1e5,
         )
-        rows = mle_curve(k, float(p["theta"]), list(grid), pool)
+        rows = mle_curve(k, theta, list(grid), pool)
         path = os.path.join(spec.out, "mle_curve.csv")
         _write_csv(path, rows, ["h", "sigma_hat", "status"])
         outputs["table"] = path
@@ -284,12 +308,12 @@ def run_study(spec: StudySpec) -> dict:
     elif spec.kind == "sampling_dist":
         _require(p, ["k", "theta", "sigma"], spec.kind)
         results = sampling_distribution(
-            float(p["theta"]),
-            float(p["sigma"]),
-            int(p["k"]),
-            int(p.get("n_datasets", 1000)),
+            float(num("theta")),
+            float(num("sigma")),
+            int(num("k")),
+            int(num("n_datasets", 1000)),
             spec.seed,
-            pool_n=int(p.get("pool_n", 100_000)),
+            pool_n=int(num("pool_n", 100_000)),
         )
         rows = [
             {"replicate": i, "sigma_hat": r.sigma_hat, "status": r.status}
@@ -301,11 +325,9 @@ def run_study(spec: StudySpec) -> dict:
 
     elif spec.kind == "bootstrap_hist":
         _require(p, ["k", "theta", "sigma", "m"], spec.kind)
-        cfg = BootstrapConfig(
-            level=float(p.get("level", 0.95)), pool_n=int(p.get("pool_n", 100_000))
-        )
+        cfg = BootstrapConfig(level=float(num("level", 0.95)), pool_n=int(num("pool_n", 100_000)))
         result = bootstrap(
-            float(p["theta"]), float(p["sigma"]), int(p["k"]), int(p["m"]), spec.seed, cfg
+            float(num("theta")), float(num("sigma")), int(num("k")), int(num("m")), spec.seed, cfg
         )
         rows = [
             {"replicate": i, "sigma_hat": r.sigma_hat, "status": r.status}
@@ -321,20 +343,20 @@ def run_study(spec: StudySpec) -> dict:
 
     elif spec.kind == "cdf_panel":
         _require(p, ["k", "theta", "h", "sigma_values"], spec.kind)
-        k = int(p["k"])
+        k = int(num("k"))
         sig_values = _number_list(p, "sigma_values", spec.kind)
         if not sig_values:
             raise StudySchemaError("cdf_panel: empty sigma_values", ["sigma_values"])
-        params = MutationParams.symmetric(float(p["theta"]), k)
+        params = MutationParams.symmetric(float(num("theta")), k)
         pool = pool_for_sigma_range(
-            params, int(p.get("pool_n", 100_000)), _subseed(spec.seed, 1),
+            params, int(num("pool_n", 100_000)), _subseed(spec.seed, 1),
             sigma_lo=min(sig_values + [0.0]), sigma_hi=max(sig_values + [0.0]),
         )
         hist_rows, summary_rows = cdf_panel(
-            Homozygosity(value=float(p["h"]), k=k),
+            Homozygosity(value=float(num("h")), k=k),
             pool,
             sig_values,
-            bins=int(p.get("bins", 60)),
+            bins=int(num("bins", 60)),
         )
         path = os.path.join(spec.out, "cdf_panel.csv")
         _write_csv(path, hist_rows, ["sigma", "bin_left", "bin_right", "mass"])
@@ -347,17 +369,19 @@ def run_study(spec: StudySpec) -> dict:
         _require(p, ["data", "chain_length"], spec.kind)
         data = p["data"]
         point = parse_frequencies(data) if isinstance(data, str) else SimplexPoint(
-            data, sum_tol=5e-3
+            _number_list(p, "data", spec.kind), sum_tol=5e-3
         )
         cfg = PosteriorConfig(
-            theta_fixed=(float(p["fix_theta"]) if p.get("fix_theta") is not None else None),
-            pool_n=int(p.get("pool_n", 100_000)),
+            theta_fixed=(float(num("fix_theta")) if p.get("fix_theta") is not None else None),
+            pool_n=int(num("pool_n", 100_000)),
         )
         bounds = None
         if "prior_theta" in p and "prior_sigma" in p:
+            for name in ("prior_theta", "prior_sigma"):
+                _number_list(p, name, spec.kind, length=2)
             bounds = (tuple(p["prior_theta"]), tuple(p["prior_sigma"]))
-        chain = posterior_sample(point, bounds, int(p["chain_length"]), spec.seed, cfg)
-        interval, mode = posterior_summary(chain, float(p.get("level", 0.95)))
+        chain = posterior_sample(point, bounds, int(num("chain_length")), spec.seed, cfg)
+        interval, mode = posterior_summary(chain, float(num("level", 0.95)))
         path = os.path.join(spec.out, "posterior_chain.csv")
         chain.to_csv(path)
         outputs["table"] = path
@@ -383,11 +407,11 @@ def run_study(spec: StudySpec) -> dict:
         if grid != sorted(grid):
             raise StudySchemaError("instability_prob: sigma_grid must be sorted", ["sigma_grid"])
         rows = instability_probability(
-            int(p["k"]),
-            float(p["theta"]),
+            int(num("k")),
+            float(num("theta")),
             grid,
-            float(p["epsilon"]),
-            int(p.get("n_per_sigma", 1000)),
+            float(num("epsilon")),
+            int(num("n_per_sigma", 1000)),
             spec.seed,
         )
         path = os.path.join(spec.out, "instability_prob.csv")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,24 @@ class TestSimulate:
         assert code == 0
         record = json.loads((tmp_path / "s.jsonl.run.json").read_text())
         assert isinstance(record["flags"]["seed"], int)
+
+    @pytest.mark.parametrize("k, sigma, n", [(4, -5000, 10), (4, 0, 1000)])
+    def test_tiny_theta_draws_interior_points(self, tmp_path, k, sigma, n):
+        out = tmp_path / "t.jsonl"
+        code = run_cli("simulate", "--k", str(k), "--theta", "0.01", "--sigma", str(sigma),
+                       "--n", str(n), "--seed", "1", "--out", str(out))
+        assert code == 0
+        rows = [json.loads(line)["frequencies"] for line in out.read_text().splitlines()]
+        assert len(rows) == n and all(v > 0 for row in rows for v in row)
+
+    def test_uninteriorizable_theta_is_one_line_exit_2(self, tmp_path, capsys):
+        started = time.perf_counter()
+        code = run_cli("simulate", "--k", "20", "--theta", "0.01", "--sigma", "50", "--n", "100",
+                       "--seed", "1", "--out", str(tmp_path / "t.jsonl"))
+        assert time.perf_counter() - started < 10.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Dirichlet concentration") and err.count("\n") == 1
 
     def test_replay_reproduces_samples(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -160,6 +179,23 @@ class TestStudyCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "sigma_grid" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, name, params",
+        [
+            ("mle_curve", "k", {"k": [1], "theta": 4.8}),
+            ("posterior_hist", "prior_theta",
+             {"data": "lyme", "chain_length": 3000, "prior_theta": 5, "prior_sigma": [0, 100]}),
+        ],
+    )
+    def test_mistyped_scalar_is_schema_error(self, tmp_path, capsys, kind, name, params):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": kind, "parameters": params, "seed": 1,
+                                         "out": str(tmp_path / "out")}))
+        code = run_cli("study", str(spec_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code = run_cli("study", "/nonexistent/spec.json")

@@ -15,7 +15,7 @@ from kallele import (
     parse_frequencies,
     quadratic_form,
 )
-from kallele.core import load_dataset
+from kallele.core import _dirichlet, derive_rng, load_dataset
 
 
 def simplex_points(min_k=2, max_k=8):
@@ -217,3 +217,33 @@ class TestLoadDataset:
     def test_missing_file(self):
         with pytest.raises(FrequencyParseError):
             load_dataset("/nonexistent/path.txt")
+
+
+class TestDirichlet:
+    @pytest.mark.parametrize("a, k", [(0.0025, 4), (0.0005, 2), (0.01, 8)])
+    def test_rows_interior_at_tiny_concentration(self, a, k):
+        # About a sixth of Gamma(0.0025) variates underflow to 0, and rows
+        # whose every coordinate underflows are 0/0 = NaN.
+        x = _dirichlet(np.full(k, a), 5000, derive_rng(3, 1))
+        assert x.shape == (5000, k)
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+        assert np.all(np.abs(x.sum(axis=1) - 1.0) <= 1e-12)
+
+    def test_per_row_concentrations(self):
+        al = np.full((3000, 4), 0.0025)
+        al[np.arange(3000), np.arange(3000) % 4] += 2.0
+        x = _dirichlet(al, 3000, derive_rng(3, 2))
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+
+    def test_same_stream_as_one_gamma_call(self):
+        al = np.tile([0.7, 1.3, 2.0], (500, 1))
+        g = derive_rng(5, 1).gamma(al)
+        assert np.array_equal(_dirichlet(al, 500, derive_rng(5, 1)), g / g.sum(axis=1, keepdims=True))
+        assert np.array_equal(_dirichlet(al[0], 500, derive_rng(5, 1)), g / g.sum(axis=1, keepdims=True))
+        # A row of equal concentrations is drawn with a scalar shape: same stream.
+        g = derive_rng(5, 1).gamma(np.full(3, 0.7), size=(500, 3))
+        assert np.array_equal(_dirichlet(np.full(3, 0.7), 500, derive_rng(5, 1)), g / g.sum(axis=1, keepdims=True))
+
+    def test_too_small_concentration_is_value_error(self):
+        with pytest.raises(ValueError, match="concentration 0.0005"):
+            _dirichlet(np.full(20, 0.0005), 100, derive_rng(1, 1))

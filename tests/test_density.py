@@ -11,18 +11,15 @@ from kallele import (
     PoolReliabilityWarning,
     SelectionModel,
     SimplexPoint,
-    build_mixture_pool,
     build_pool,
     cdf_homozygosity,
     g_sigma,
     homozygosity,
-    load_pool_jsonl,
     log_likelihood,
     log_normalizer,
     neutral_log_density,
     optimal_composition,
     parse_frequencies,
-    save_pool_jsonl,
     score_general,
     score_sigma,
 )
@@ -384,25 +381,6 @@ class TestOptimalComposition:
         pts = g / g.sum(axis=1, keepdims=True)
         vals = np.einsum("ij,jl,il->i", pts, m, pts)
         assert np.all(vals >= res.value - 1e-9)
-
-
-class TestPoolPersistence:
-    def test_roundtrip(self, tmp_path, theta_lyme):
-        pool = build_mixture_pool(theta_lyme, (1.2, 2.0), n=400, seed=77)
-        path = tmp_path / "pool.jsonl"
-        save_pool_jsonl(pool, str(path))
-        loaded = load_pool_jsonl(str(path))
-        assert loaded.n == pool.n
-        assert np.allclose(loaded.h, pool.h)
-        assert np.allclose(loaded.b, pool.b)
-        v1, _ = log_normalizer(pool, SelectionModel.overdominance(12.0))
-        v2, _ = log_normalizer(loaded, SelectionModel.overdominance(12.0))
-        assert v1 == pytest.approx(v2, abs=1e-12)
-
-    def test_requires_draws(self, theta_lyme, tmp_path):
-        pool = build_pool(theta_lyme, n=10, seed=1, keep_draws=False)
-        with pytest.raises(ValueError, match="draws"):
-            save_pool_jsonl(pool, str(tmp_path / "x.jsonl"))
 
 
 class TestPoolPolicy:

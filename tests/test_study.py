@@ -192,6 +192,20 @@ class TestRunStudy:
             ("instability_prob", "sigma_grid", {"k": 4, "theta": 5.0, "sigma_grid": 5, "epsilon": 0.2}),
             ("mle_curve", "h_grid", {"k": 4, "theta": 5.0, "h_grid": ["0.3"]}),
             ("cdf_panel", "sigma_values", {"k": 4, "theta": 5.0, "h": 0.3, "sigma_values": {"a": 1}}),
+            ("mle_curve", "k", {"k": [1], "theta": 5.0}),
+            ("mle_curve", "k", {"k": math.inf, "theta": 5.0}),
+            ("mle_curve", "theta", {"k": 4, "theta": "5"}),
+            ("mle_curve", "pool_n", {"k": 4, "theta": 5.0, "pool_n": None}),
+            ("sampling_dist", "sigma", {"k": 4, "theta": 5.0, "sigma": [1.0]}),
+            ("bootstrap_hist", "m", {"k": 4, "theta": 5.0, "sigma": 1.0, "m": True}),
+            ("cdf_panel", "h", {"k": 4, "theta": 5.0, "h": [0.3], "sigma_values": [0.0]}),
+            ("instability_prob", "epsilon", {"k": 4, "theta": 5.0, "sigma_grid": [1.0], "epsilon": {}}),
+            ("posterior_hist", "chain_length", {"data": "lyme", "chain_length": "3000"}),
+            ("posterior_hist", "prior_theta",
+             {"data": "lyme", "chain_length": 3000, "prior_theta": 5, "prior_sigma": [0, 100]}),
+            ("posterior_hist", "prior_sigma",
+             {"data": "lyme", "chain_length": 3000, "prior_theta": [0, 5], "prior_sigma": [0, 1, 2]}),
+            ("posterior_hist", "data", {"data": 5, "chain_length": 3000}),
         ],
     )
     def test_mistyped_list_is_schema_error(self, tmp_path, kind, name, params):
@@ -199,6 +213,14 @@ class TestRunStudy:
         with pytest.raises(StudySchemaError, match=name) as err:
             run_study(spec)
         assert err.value.fields == [name]
+
+    def test_mistyped_seed_is_schema_error(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "mle_curve", "parameters": {"k": 4, "theta": 2.0},
+                                    "seed": [3], "out": str(tmp_path / "o")}))
+        with pytest.raises(StudySchemaError, match="seed") as err:
+            StudySpec.from_json(str(path))
+        assert err.value.fields == ["seed"]
 
     def test_spec_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
