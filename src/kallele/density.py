@@ -14,20 +14,23 @@ bracketing-safe.
 All weight arithmetic is carried in log space with max-shift before
 exponentiation: the tilt exp(-sigma * h) spans hundreds of orders of
 magnitude at the intensities this package is asked to explore.  Every
-estimate at a scalar intensity comes from one pass function, ``tilt``,
-which reads the pool once and returns the log weight total, the tilted
-mean of h, its derivative in sigma, the effective sample size and, when
-asked, the CDF at one h.
+estimate at a scalar intensity reduces one weight step, ``_weights``.  The
+full pass, ``tilt``, returns the log weight total, the tilted mean of h,
+its derivative in sigma, the effective sample size and, when asked, the CDF
+at one h; callers that read only the log weight total (``_log_z``) or only
+the CDF (``cdf_homozygosity``) reduce the same weights to just that, with
+the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .core import (
     Homozygosity,
@@ -78,6 +81,11 @@ NEGATIVE_MIXTURE_THRESHOLD = 30.0
 VERTEX_CONCENTRATION = 0.4
 
 _CHUNK = 1 << 14
+
+# Components the draw memo keeps: the three of one joint-MLE profile (two of
+# them shared by every theta), or the four of a posterior chain's pool and
+# of posterior_summary's rebuild of it.
+_COMPONENT_MEMO = 4
 
 # The smallest max-shifted log-weight a pass exponentiates, log(2**-1020).
 # NumPy's vectorized exp leaves its fast path for results below 2**-1021:
@@ -214,13 +222,40 @@ def neutral_log_density(x: SimplexPoint, theta: MutationParams) -> float:
     return _dirichlet_logconst(alphas) + float((alphas - 1.0) @ logx)
 
 
+@functools.lru_cache(maxsize=_COMPONENT_MEMO)
 def _draw_component(a: float, count: int, k: int, seed: int, component: int) -> np.ndarray:
-    """Dirichlet(a, ..., a) draws in fixed chunks of per-chunk substreams."""
+    """Dirichlet(a, ..., a) draws in fixed chunks of per-chunk substreams.
+
+    The draws are a pure function of the arguments, so they are memoized on
+    all of them and returned read-only: pools that share a component (the
+    fixed defensive concentrations of every profiled theta) draw it once.
+    """
     out = np.empty((count, k), dtype=np.float64)
     for chunk_index, pos in enumerate(range(0, count, _CHUNK)):
         size = min(_CHUNK, count - pos)
         out[pos : pos + size] = _dirichlet(np.full(k, a), size, derive_rng(seed, component, chunk_index))
+    out.flags.writeable = False
     return out
+
+
+def _logsumexp_rows(parts: np.ndarray) -> np.ndarray:
+    """log(sum(exp(parts), axis=0)) by scipy.special.logsumexp's steps, in its order.
+
+    The largest entries of each column are taken out of the sum and their
+    count divided out, so for finite input the result has scipy's bits,
+    without its array-API dispatch and its direct exp-sum fallback for
+    infinite results.  The largest entries are zeroed after exp, not set
+    to -inf before it: exp(-inf) takes NumPy's slow path.
+    """
+    top = parts.max(axis=0)
+    tied = parts == top
+    ties = tied.sum(axis=0, dtype=np.float64)
+    rest = np.subtract(parts, top)
+    np.exp(rest, out=rest)
+    rest *= ~tied
+    s = rest.sum(axis=0)
+    s = np.where(s == 0, s, s / ties)
+    return np.log1p(s) + np.log(ties) + top
 
 
 def _build(
@@ -257,7 +292,7 @@ def _build(
         for ci, (a, count) in enumerate(zip(concentrations, counts)):
             const = _dirichlet_logconst(np.full(k, float(a)))
             parts[ci] = math.log(count / n) + const + (float(a) - 1.0) * s
-        pld = logsumexp(parts, axis=0)
+        pld = _logsumexp_rows(parts)
 
     symmetric_match = (
         m == 1 and theta.mode == "symmetric" and concentrations[0] == theta.total / theta.k
@@ -397,6 +432,13 @@ def _weights(base: np.ndarray, stat: np.ndarray, sigma: float) -> tuple[np.ndarr
     return lw, top, i_top
 
 
+def _cdf(w: np.ndarray, stat: np.ndarray, cdf_at: float) -> float:
+    """Weighted fraction of draws with stat <= cdf_at, as 1/(1 + W_above/W_below)."""
+    below = stat <= cdf_at
+    w_below = float(w @ below)
+    return 1.0 / (1.0 + float(w @ ~below) / w_below) if w_below > 0.0 else 0.0
+
+
 def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray, cdf_at: float | None = None) -> Tilt:
     # Moments are taken about the statistic of the top-weight draw, and the
     # CDF through the ratio of the weight above to the weight at or below
@@ -407,18 +449,19 @@ def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray, cdf_at: fl
     d = stat - stat[i_top]
     c = float(w @ d) / total
     d *= d
-    cdf = math.nan
-    if cdf_at is not None:
-        below = stat <= cdf_at
-        w_below = float(w @ below)
-        cdf = 1.0 / (1.0 + float(w @ ~below) / w_below) if w_below > 0.0 else 0.0
     return Tilt(
         log_z=top + math.log(total),
         g=float(stat[i_top]) + c,
         dg=c * c - float(w @ d) / total,
         ess=total * total / float(w @ w),
-        cdf=cdf,
+        cdf=math.nan if cdf_at is None else _cdf(w, stat, cdf_at),
     )
+
+
+def _log_z(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
+    """The ``log_z`` of a full pass, bit for bit, without its moments and ESS."""
+    w, top, _ = _weights(base, stat, sigma)
+    return top + math.log(float(w.sum()))
 
 
 def tilt(
@@ -449,7 +492,7 @@ def _selection_stat(pool: WeightedPool, model: SelectionModel) -> tuple[np.ndarr
 
 def _log_normalizer(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
     """log Z(sigma) - log Z(0): exactly 0 at sigma = 0."""
-    return _summary(*_weights(base, stat, sigma), stat).log_z - _summary(*_weights(base, stat, 0.0), stat).log_z
+    return _log_z(base, stat, sigma) - _log_z(base, stat, 0.0)
 
 
 def log_normalizer(
@@ -465,7 +508,7 @@ def log_normalizer(
     stat, sigma = _selection_stat(pool, model)
     w, top, i_top = _weights(pool.b, stat, sigma)
     t = _summary(w, top, i_top, stat)
-    value = t.log_z - _summary(*_weights(pool.b, stat, 0.0), stat).log_z
+    value = t.log_z - _log_z(pool.b, stat, 0.0)
     total = math.exp(t.log_z - top)
     report = EssReport(
         ess=min(max(t.ess, 1.0), float(pool.n)),
@@ -572,7 +615,7 @@ def cdf_homozygosity(
     For fixed h the empirical map sigma -> F is exactly non-decreasing:
     stronger heterozygote advantage pushes homozygosity down.
     """
-    return tilt(pool, sigma, b, cdf_at=h.value).cdf
+    return _cdf(_weights(pool.b if b is None else b, pool.h, sigma)[0], pool.h, h.value)
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q) -> np.ndarray:

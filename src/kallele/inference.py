@@ -41,6 +41,7 @@ from .density import (
     NEGATIVE_MIXTURE_THRESHOLD,
     WeightedPool,
     Tilt,
+    _log_z,
     build_mixture_pool,
     cdf_homozygosity,
     log_likelihood,
@@ -808,13 +809,13 @@ def posterior_sample(
             params = MutationParams.symmetric(theta, k)
             b = pool.base_log_weights_for(params)
             base_cache.clear()  # single-entry cache: the chain only needs current + proposal
-            base_cache[theta] = (b, tilt(pool, 0.0, b).log_z, neutral_log_density(x, params))
+            base_cache[theta] = (b, _log_z(b, pool.h, 0.0), neutral_log_density(x, params))
         return base_cache[theta]
 
     def log_post(theta: float, sigma: float) -> float:
         # log_likelihood would make a second pass, at sigma = 0, per proposal.
         b, lz0, neutral = base_weights(theta)
-        lz = tilt(pool, sigma, b).log_z - lz0
+        lz = _log_z(b, pool.h, sigma) - lz0
         return -sigma * h.value - lz + neutral
 
     rng = derive_rng(seed, 7)

@@ -38,7 +38,7 @@ __all__ = [
 
 
 class RejectionStarvedError(RuntimeError):
-    """Rejection sampling fell below its minimum acceptance rate."""
+    """Rejection sampling fell below its minimum acceptance rate, or cannot finish within its budget."""
 
 
 # Rejection against the neutral proposal starves far earlier for homozygote
@@ -110,11 +110,15 @@ def _rejection_arrays(
         n_prop += batch
         block += 1
         if n_prop >= config.max_rejection_proposals and n_acc < n:
+            # Past the budget, give up when the rate is hopeless or when, at
+            # the observed rate, finishing would take more than another budget.
             rate = n_acc / n_prop
-            if rate < config.min_acceptance:
+            needed = (n - n_acc) / rate if rate > 0.0 else math.inf
+            if rate < config.min_acceptance or needed > config.max_rejection_proposals:
                 raise RejectionStarvedError(
                     f"rejection acceptance rate {rate:.2e} after {n_prop} proposals "
-                    f"(sigma={sigma:g}, k={k}); use the MH route or lower the switch threshold"
+                    f"(sigma={sigma:g}, k={k}) would need about {needed:.3g} more for n={n}; "
+                    "use the MH route or lower the switch threshold"
                 )
     draws = np.concatenate(accepted)[:n]
     report = SamplerReport(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from kallele import (
     Homozygosity,
@@ -23,7 +23,18 @@ from kallele import (
     score_general,
     score_sigma,
 )
-from kallele.density import _weights, g_sigma_se, log_normalizer_se, pool_for_sigma_range, tilt
+from kallele.density import (
+    _COMPONENT_MEMO,
+    _draw_component,
+    _log_z,
+    _logsumexp_rows,
+    _weights,
+    build_mixture_pool,
+    g_sigma_se,
+    log_normalizer_se,
+    pool_for_sigma_range,
+    tilt,
+)
 
 import oracles
 
@@ -93,6 +104,42 @@ class TestBuildPool:
     def test_size_validation(self, theta_lyme):
         with pytest.raises(ValueError):
             build_pool(theta_lyme, n=0, seed=1)
+
+    def test_mixture_density_matches_scipy(self, mixture_pool_k4):
+        # the component log-densities of a real pool, and a copy with tied rows
+        pool = mixture_pool_k4
+        parts = np.stack(
+            [
+                math.log(c / pool.n) + float(gammaln(4 * a) - 4 * gammaln(a)) + (a - 1.0) * pool.s
+                for a, c in zip(pool.concentrations, pool.component_counts)
+            ]
+        )
+        tied = parts.copy()
+        tied[1, ::7] = tied[0, ::7]
+        tied[2:, ::5] = tied[0, ::5]
+        for arr in (parts, tied):
+            assert np.array_equal(_logsumexp_rows(arr), logsumexp(arr, axis=0))
+        assert np.array_equal(_logsumexp_rows(parts), pool.proposal_log_density)
+
+
+class TestComponentMemo:
+    def test_rebuild_is_identical(self, theta_lyme):
+        p1 = build_mixture_pool(theta_lyme, (1.2, 2.0, 8.0), n=30_000, seed=77, keep_draws=False)
+        p2 = build_mixture_pool(theta_lyme, (1.2, 2.0, 8.0), n=30_000, seed=77, keep_draws=False)
+        for name in ("h", "s", "b", "proposal_log_density"):
+            assert np.array_equal(getattr(p1, name), getattr(p2, name))
+
+    def test_draws_read_only_and_memo_bounded(self, theta_lyme):
+        x = _draw_component(2.0, 1000, 4, 78, 1)
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.5
+        for seed in range(79, 79 + 2 * _COMPONENT_MEMO):
+            build_mixture_pool(theta_lyme, (1.2, 2.0, 8.0), n=3000, seed=seed, keep_draws=False)
+            assert _draw_component.cache_info().currsize <= _COMPONENT_MEMO
+        # a pool keeping its draws owns a writable copy
+        pool = build_pool(theta_lyme, n=1000, seed=78)
+        assert pool.draws.flags.writeable
 
 
 class TestLogNormalizer:
@@ -246,6 +293,17 @@ class TestTilt:
             passes = [tilt(pool, s, cdf_at=0.3) for s in grid]
             assert np.all(np.diff([t.g for t in passes]) <= 0.0)
             assert np.all(np.diff([t.cdf for t in passes]) >= 0.0)
+
+    @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1600.0, 1e4])
+    def test_lean_passes_equal_full_pass(self, pool_k4, mixture_pool_k4, sigma):
+        # no tolerance: _log_z and the CDF pass reduce the same weights as tilt
+        hv = Homozygosity(value=0.3, k=4)
+        b_other = mixture_pool_k4.base_log_weights_for(MutationParams.symmetric(7.5, 4))
+        for pool, b in ((pool_k4, None), (mixture_pool_k4, None), (mixture_pool_k4, b_other)):
+            base = pool.b if b is None else b
+            full = tilt(pool, sigma, b, cdf_at=hv.value)
+            assert _log_z(base, pool.h, sigma) == full.log_z
+            assert cdf_homozygosity(pool, sigma, hv, b) == full.cdf
 
     def test_weights_are_zero_or_normal(self, mixture_pool_k4):
         for sigma in (-1e4, 1600.0, 1e4):

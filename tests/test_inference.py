@@ -22,7 +22,8 @@ from kallele import (
     posterior_sample,
     posterior_summary,
 )
-from kallele.density import g_sigma, pool_for_sigma_range
+from kallele import inference
+from kallele.density import _draw_component, build_mixture_pool, g_sigma, pool_for_sigma_range
 from kallele.inference import (
     BootstrapConfig,
     GSigmaTable,
@@ -124,6 +125,21 @@ class TestMleJoint:
         assert res.converged
         assert res.theta_hat == pytest.approx(4.8, abs=0.8)
         assert res.sigma_hat == pytest.approx(35.1, abs=6.0)
+
+    def test_profile_draws_one_new_component_per_theta(self, monkeypatch):
+        # the defensive components (2 and 8) do not depend on theta, so
+        # after the first profiled theta only the a = theta/k one is drawn
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build_mixture_pool(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "build_mixture_pool", counting_build)
+        misses = _draw_component.cache_info().misses
+        mle_joint(parse_frequencies("lyme"), seed=31, config=JointMleConfig(pool_n=6000, coarse_points=8))
+        assert len(builds) > 8
+        assert _draw_component.cache_info().misses - misses <= len(builds) + 2
 
     def test_uniform_unbounded_at_every_theta(self):
         res = mle_joint(SimplexPoint((0.25,) * 4), seed=3, config=JointMleConfig(pool_n=10_000))

@@ -124,6 +124,15 @@ class TestSampleSelection:
         with pytest.raises(RejectionStarvedError, match="acceptance rate"):
             sample_selection(theta, -40.0, 100, seed=3, config=cfg)
 
+    def test_rejection_that_cannot_finish_stops_early(self):
+        # acceptance about 0.10, far above min_acceptance: after the first
+        # batch (40k proposals, past the 10k budget) the 16k draws still
+        # missing need some 160k more proposals
+        theta = MutationParams.symmetric(4.8, 4)
+        cfg = SamplerConfig(force_method="rejection", max_rejection_proposals=10_000)
+        with pytest.raises(RejectionStarvedError, match="acceptance rate .* would need about"):
+            sample_selection(theta, 35.1, 20_000, seed=3, config=cfg)
+
     def test_deterministic_given_seed(self):
         theta = MutationParams.symmetric(4.8, 4)
         a, ra = sample_selection(theta, 80.0, 500, seed=21)
