@@ -82,9 +82,9 @@ VERTEX_CONCENTRATION = 0.4
 
 _CHUNK = 1 << 14
 
-# Components the draw memo keeps: the three of one joint-MLE profile (two of
-# them shared by every theta), or the four of a posterior chain's pool and
-# of posterior_summary's rebuild of it.
+# Components the draw memo keeps: the four of a posterior chain's pool, which
+# posterior_summary rebuilds from the same seed.  A joint MLE's two pools
+# share no component.
 _COMPONENT_MEMO = 4
 
 # The smallest max-shifted log-weight a pass exponentiates, log(2**-1020).
@@ -185,8 +185,7 @@ class WeightedPool:
         if theta.mode == "symmetric":
             a = theta.total / theta.k
             # A Python float: a NumPy-scalar constant makes the array
-            # arithmetic below markedly slower, and the posterior chain pays
-            # for this on every proposal.
+            # arithmetic below markedly slower.
             const = float(gammaln(theta.total) - theta.k * gammaln(a))
             return const + (a - 1.0) * self.s - self.proposal_log_density
         if self.draws is None:
@@ -462,6 +461,29 @@ def _log_z(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
     """The ``log_z`` of a full pass, bit for bit, without its moments and ESS."""
     w, top, _ = _weights(base, stat, sigma)
     return top + math.log(float(w.sum()))
+
+
+def _surface_base(pool: WeightedPool, a: float) -> np.ndarray:
+    """Log-weights (a - 1) s - proposal log-density: the symmetric model at a = theta/k and sigma = 0."""
+    return (a - 1.0) * pool.s - pool.proposal_log_density
+
+
+def _surface(pool: WeightedPool, a: float, sigma: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """One pass at (a, sigma) of the symmetric model's exponential family in T = (s, h).
+
+    With weights w_i = exp((a - 1) s_i - sigma h_i - proposal log-density_i),
+    returns the plain importance-sampling log-normalizer log(sum w / n), the
+    weighted mean and covariance of T (moments about the top-weight draw, as
+    in ``tilt``) and the ESS.  The Dirichlet constant cancels, so the
+    log-likelihood of x is (a - 1) s(x) - sigma h(x) minus the log-normalizer.
+    """
+    w, top, i_top = _weights(_surface_base(pool, a), pool.h, sigma)
+    total = float(w.sum())
+    d = np.stack([pool.s - pool.s[i_top], pool.h - pool.h[i_top]])
+    wd = d * w
+    c = wd.sum(axis=1) / total
+    mean = np.array([pool.s[i_top], pool.h[i_top]]) + c
+    return top + math.log(total / pool.n), mean, wd @ d.T / total - np.outer(c, c), total * total / float(w @ w)
 
 
 def tilt(

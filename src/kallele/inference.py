@@ -22,14 +22,12 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from .core import (
     Homozygosity,
     MutationParams,
-    SelectionModel,
     SimplexPoint,
     derive_rng,
     homozygosity,
@@ -42,10 +40,10 @@ from .density import (
     WeightedPool,
     Tilt,
     _log_z,
+    _surface,
+    _surface_base,
     build_mixture_pool,
     cdf_homozygosity,
-    log_likelihood,
-    neutral_log_density,
     pool_for_sigma_range,
     tilt,
 )
@@ -92,6 +90,14 @@ DEFAULT_PRIOR_BOUNDS = ((0.0, 50.0), (0.0, 1000.0))
 PROPOSAL_SCALE_FACTOR = 2.0
 # A chain accepting less often than this carries a "proposal-mistuned" note.
 ACCEPTANCE_FLAG = 0.02
+# The joint MLE's pilot pool: _LADDER_RUNGS concentrations geometric over the
+# theta box plus the defensive ones, with 1/_PILOT_SHARE of pool_n draws; its
+# Newton search starts from theta = _THETA_START, sigma = 0.
+_LADDER_RUNGS = 6
+_PILOT_SHARE = 5
+_THETA_START = 5.0
+# A bound on one surface search's Newton iterations (from those starts, under ten).
+_NEWTON_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -245,9 +251,7 @@ class MleConfig:
 @dataclass(frozen=True)
 class JointMleConfig:
     theta_bounds: tuple[float, float] = (0.1, 50.0)
-    theta_tol: float = 1e-3
     pool_n: int = 100_000
-    coarse_points: int = 12
 
 
 @dataclass(frozen=True)
@@ -458,36 +462,56 @@ def mle_sigma(
     )
 
 
-def _profile_pool(params: MutationParams, seed: int, n: int) -> WeightedPool:
-    # Defensive mixture regardless of theta: a lone a = theta/k proposal at
-    # small theta draws only near-vertex populations and cannot see moderate
-    # homozygosities at all.
-    base = params.total / params.k
-    concs = (base,) + tuple(c for c in DEFENSIVE_CONCENTRATIONS if c != base)
+def _profile_pool(params: MutationParams, concentrations: tuple[float, ...], seed: int, n: int) -> WeightedPool:
+    # Defensive concentrations join those aimed at theta: a lone a = theta/k proposal at
+    # small theta draws only near-vertex populations, blind to moderate homozygosities.
+    concs = concentrations + tuple(c for c in DEFENSIVE_CONCENTRATIONS if c not in concentrations)
     return build_mixture_pool(params, concs, n, seed, keep_draws=False)
 
 
-def _maximize_theta(f: Callable[[float], float], grid: np.ndarray, tol: float) -> float:
-    """Maximize f: the best point of a coarse grid, then golden section between its neighbours."""
-    best = int(np.argmax([f(float(t)) for t in grid]))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
+def _maximize_surface(
+    pool: WeightedPool,
+    x: SimplexPoint,
+    start: tuple[float, float],
+    theta_box: tuple[float, float],
+    sigma_box: tuple[float, float],
+) -> tuple[float, float]:
+    """Maximize the pool's log-likelihood surface over (theta, sigma) in a box.
+
+    In a = theta/k and sigma the surface is concave, with gradient
+    T(x) - E_w[T] and Hessian -Cov_w(T) for T = (s, -h), from one
+    ``_surface`` pass.  Safeguarded Newton: a coordinate at a bound whose
+    gradient points out of the box stays there; the others take a Newton
+    step, projected onto the box and halved until the surface does not
+    decrease.  Stops when a step moves theta and sigma by less than the
+    MLE's ``bracket_tol``.
+    """
+    k = x.k
+    tx = np.array([np.log(x.as_array()).sum(), -homozygosity(x).value])
+    lo, hi = np.array([theta_box, sigma_box]).T / [k, 1.0]
+    tol = MleConfig().bracket_tol / np.array([k, 1.0])
+    flip = np.array([1.0, -1.0])
+
+    def evaluate(eta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        log_z, mean, cov, _ = _surface(pool, float(eta[0]), float(eta[1]))
+        return (eta[0] - 1.0) * tx[0] + eta[1] * tx[1] - log_z, tx - flip * mean, cov * np.outer(flip, flip)
+
+    eta = np.clip([start[0] / k, start[1]], lo, hi)
+    value, grad, cov = evaluate(eta)
+    for _ in range(_NEWTON_ITERATIONS):
+        free = ~(((eta <= lo) & (grad <= 0.0)) | ((eta >= hi) & (grad >= 0.0)))
+        step = np.zeros(2)
+        step[free] = np.linalg.pinv(cov[np.ix_(free, free)]) @ grad[free]
+        while True:
+            trial = np.clip(eta + step, lo, hi)
+            if np.all(np.abs(trial - eta) < tol):
+                return float(trial[0]) * k, float(trial[1])
+            t_value, t_grad, t_cov = evaluate(trial)
+            if t_value >= value:
+                break
+            step *= 0.5
+        eta, value, grad, cov = trial, t_value, t_grad, t_cov
+    return float(eta[0]) * k, float(eta[1])
 
 
 def mle_joint(
@@ -495,54 +519,34 @@ def mle_joint(
     seed: int,
     config: JointMleConfig | None = None,
 ) -> MleResult:
-    """Joint MLE of (theta, sigma) by profiling theta.
+    """Joint MLE of (theta, sigma) by Newton's method on the likelihood surface of two pools.
 
-    The outer search is a coarse scan plus golden-section refinement on the
-    profile likelihood; the inner problem at each theta is ``mle_sigma`` on
-    a pool rebuilt from the same seed (common random numbers), making the
-    profile a deterministic function of theta.
+    A small pilot pool over a ladder of concentrations spanning the theta
+    box locates the optimum; a full-size pool at the pilot theta refines it.
+    Sigma, the status, the bracket, the score and the ESS come from
+    ``mle_sigma`` on that pool reweighted to theta-hat, whose root is the
+    same point.  Data in the pilot pool's homozygosity fringe are unbounded
+    in sigma at every theta.
     """
     config = config or JointMleConfig()
+    k = x.k
     h = homozygosity(x)
-    cache: dict[float, tuple[float, MleResult]] = {}
+    theta_box = config.theta_bounds
+    sigma_box = (-MleConfig().sigma_cap, MleConfig().sigma_cap)
+    rungs = tuple(float(a) for a in np.geomspace(*theta_box, _LADDER_RUNGS) / k)
+    pilot = _profile_pool(MutationParams.symmetric(_THETA_START, k), rungs, seed, max(config.pool_n // _PILOT_SHARE, 1))
+    margin_lo, margin_hi = pilot.support_margin(MIN_SUPPORT)
+    if not pilot.h_min + margin_lo < h.value < pilot.h_max - margin_hi:
+        # The data sit at the singular composition itself, not in one theta's blind spot.
+        inner = mle_sigma(h, pilot)
+        return replace(inner, notes=inner.notes + ("likelihood unbounded in sigma at every theta",))
+    theta, sigma = _maximize_surface(pilot, x, (_THETA_START, 0.0), theta_box, sigma_box)
 
-    def profile(theta: float) -> tuple[float, MleResult]:
-        if theta not in cache:
-            params = MutationParams.symmetric(theta, x.k)
-            pool = _profile_pool(params, seed, config.pool_n)
-            inner = mle_sigma(h, pool)
-            if inner.status in (STATUS_UNBOUNDED_ABOVE, STATUS_UNBOUNDED_BELOW):
-                value = math.inf
-            elif inner.status == STATUS_OUTSIDE_POOL_RANGE:
-                value = -math.inf
-            else:
-                value = log_likelihood(x, params, SelectionModel.overdominance(inner.sigma_hat), pool)
-            cache[theta] = (value, inner)
-        return cache[theta]
-
-    t_lo, t_hi = config.theta_bounds
-    grid = np.geomspace(t_lo, t_hi, config.coarse_points)
-    if all(profile(float(t))[0] == math.inf for t in grid):
-        # Every conditional likelihood is unbounded: the data sit at the
-        # singular composition itself, not in a pool blind spot.
-        _, inner = profile(float(grid[0]))
-        return replace(
-            inner,
-            theta_hat=None,
-            notes=inner.notes + ("likelihood unbounded in sigma at every theta",),
-        )
-
-    def fval(theta: float) -> float:
-        # Isolated unbounded statuses at extreme thetas are pool blind spots;
-        # exclude them from the outer search rather than crowning them.
-        v, _ = profile(theta)
-        return -math.inf if v == math.inf else v
-
-    theta_hat = _maximize_theta(fval, grid, config.theta_tol)
-    _, inner = profile(theta_hat)
-
+    pool = _profile_pool(MutationParams.symmetric(theta, k), (theta / k,), _subseed(seed, 1), config.pool_n)
+    theta_hat, _ = _maximize_surface(pool, x, (theta, sigma), theta_box, sigma_box)
+    inner = mle_sigma(h, pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta_hat, k)))
     notes = inner.notes
-    if theta_hat - t_lo < 2 * config.theta_tol or t_hi - theta_hat < 2 * config.theta_tol:
+    if min(theta_hat - theta_box[0], theta_box[1] - theta_hat) < MleConfig().bracket_tol:
         notes = notes + ("theta-at-bound: outer optimum sits at a search bound",)
     return replace(inner, theta_hat=theta_hat, notes=notes)
 
@@ -766,11 +770,7 @@ def posterior_sample(
     if config.theta_fixed is not None:
         theta_pilot = float(config.theta_fixed)
     else:
-        pilot_cfg = JointMleConfig(
-            theta_bounds=(max(0.1, theta_box[0]), theta_box[1]),
-            theta_tol=0.01,
-            pool_n=config.pilot_pool_n,
-        )
+        pilot_cfg = JointMleConfig(theta_bounds=(max(0.1, theta_box[0]), theta_box[1]), pool_n=config.pilot_pool_n)
         pilot = mle_joint(x, _subseed(seed, 4), pilot_cfg)
         theta_pilot = pilot.theta_hat if pilot.theta_hat is not None else 0.5 * (theta_box[0] + theta_box[1])
     pilot_params = MutationParams.symmetric(theta_pilot, k)
@@ -801,22 +801,16 @@ def posterior_sample(
         sigma_lo=min(sigma_box[0], -2.0 * NEGATIVE_MIXTURE_THRESHOLD),
         sigma_hi=max(sigma_box[1], 2.0 * MIXTURE_SIGMA_THRESHOLD),
     )
-    base_cache: dict[float, tuple[np.ndarray, float, float]] = {}
-
-    def base_weights(theta: float) -> tuple[np.ndarray, float, float]:
-        """The pool reweighted to theta, its log weight total at sigma = 0, and the data's neutral term."""
-        if theta not in base_cache:
-            params = MutationParams.symmetric(theta, k)
-            b = pool.base_log_weights_for(params)
-            base_cache.clear()  # single-entry cache: the chain only needs current + proposal
-            base_cache[theta] = (b, _log_z(b, pool.h, 0.0), neutral_log_density(x, params))
-        return base_cache[theta]
+    # One likelihood-surface pass per proposal; a fixed-theta chain keeps its sigma = 0 log-weights.
+    sx = float(np.log(x.as_array()).sum())
+    base: dict[float, np.ndarray] = {}
 
     def log_post(theta: float, sigma: float) -> float:
-        # log_likelihood would make a second pass, at sigma = 0, per proposal.
-        b, lz0, neutral = base_weights(theta)
-        lz = _log_z(b, pool.h, sigma) - lz0
-        return -sigma * h.value - lz + neutral
+        a = theta / k
+        if theta not in base:
+            base.clear()
+            base[theta] = _surface_base(pool, a)
+        return (a - 1.0) * sx - sigma * h.value - _log_z(base[theta], pool.h, sigma) + math.log(pool.n)
 
     rng = derive_rng(seed, 7)
     total = int(chain_length)
@@ -838,8 +832,7 @@ def posterior_sample(
     log_u = np.log(rng.random(total))
     log_q = -np.abs(sigma_props - center) / scale
 
-    theta_cur = theta_pilot if theta_fixed is None else float(theta_fixed)
-    theta_cur = min(max(theta_cur, 1e-9), theta_box[1])
+    theta_cur = min(max(theta_pilot, 1e-9), theta_box[1])
     sigma_cur = center
     lp_cur = log_post(theta_cur, sigma_cur)
     lq_cur = -abs(sigma_cur - center) / scale
@@ -894,10 +887,10 @@ def posterior_sample(
 def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[IntervalEstimate, tuple[float, float]]:
     """Equal-tailed credible interval for sigma plus the posterior mode.
 
-    The mode is found by numerically maximizing the log-posterior surface
-    on the chain's own pool (profile in theta, exact concave maximization in
-    sigma), constrained to the prior box; under flat priors this coincides
-    with the constrained joint MLE.
+    The mode maximizes the concave log-likelihood surface of the chain's own
+    pool by Newton's method, constrained to the prior box (theta held at a
+    fixed-theta chain's value); under flat priors it is the constrained
+    joint MLE.
     """
     if len(chain) < 1000:
         raise ValueError("need at least 1000 retained draws to summarize")
@@ -912,32 +905,16 @@ def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[Inter
     )
 
     x = chain.data
-    k = x.k
-    h = homozygosity(x)
     theta_box, sigma_box = chain.prior_bounds
-    pilot_theta = chain.theta_fixed if chain.theta_fixed is not None else float(np.median(chain.thetas))
+    fixed = chain.theta_fixed
+    theta_start = fixed if fixed is not None else float(np.median(chain.thetas))
     pool = build_mixture_pool(
-        MutationParams.symmetric(pilot_theta, k),
+        MutationParams.symmetric(theta_start, x.k),
         chain.pool_concentrations,
         chain.pool_n,
         chain.pool_seed,
         keep_draws=False,
     )
-
-    def profile(theta: float) -> tuple[float, float]:
-        params = MutationParams.symmetric(theta, k)
-        inner = mle_sigma(h, pool, b=pool.base_log_weights_for(params))
-        if inner.converged:
-            sig = float(np.clip(inner.sigma_hat, sigma_box[0], sigma_box[1]))
-        else:
-            sig = sigma_box[1] if inner.sigma_hat > 0 else sigma_box[0]
-        return log_likelihood(x, params, SelectionModel.overdominance(sig), pool), sig
-
-    if chain.theta_fixed is not None:
-        _, sig = profile(float(chain.theta_fixed))
-        return interval, (float(chain.theta_fixed), sig)
-
-    grid = np.geomspace(max(theta_box[0], 1e-3), theta_box[1], 12)
-    theta_mode = _maximize_theta(lambda t: profile(t)[0], grid, 1e-3)
-    _, sigma_mode = profile(theta_mode)
-    return interval, (theta_mode, sigma_mode)
+    box = (fixed, fixed) if fixed is not None else (max(theta_box[0], 1e-3), theta_box[1])
+    theta_mode, sigma_mode = _maximize_surface(pool, x, (theta_start, float(np.median(chain.sigmas))), box, sigma_box)
+    return interval, (float(fixed) if fixed is not None else theta_mode, sigma_mode)

@@ -28,6 +28,7 @@ from kallele.density import (
     _draw_component,
     _log_z,
     _logsumexp_rows,
+    _surface,
     _weights,
     build_mixture_pool,
     g_sigma_se,
@@ -311,6 +312,35 @@ class TestTilt:
             assert w.max() == 1.0
             assert not np.any((w > 0.0) & (w < 2.0**-1020))
             assert np.any(w == 0.0)
+
+
+class TestSurface:
+    @pytest.mark.parametrize("theta, sigma", [(0.5, -100.0), (4.8, 0.0), (4.8, 35.1), (7.5, 35.1), (20.0, 1600.0)])
+    def test_matches_direct_formulas(self, mixture_pool_k4, theta, sigma):
+        pool = mixture_pool_k4
+        a = theta / 4
+        log_z, mean_t, cov_t, ess = _surface(pool, a, sigma)
+        lw = (a - 1.0) * pool.s - sigma * pool.h - pool.proposal_log_density
+        w = np.exp(lw - lw.max())
+        w /= w.sum()
+        t = np.stack([pool.s, pool.h])
+        mean = t @ w
+        cov = (t - mean[:, None]) * w @ (t - mean[:, None]).T
+        assert log_z == pytest.approx(logsumexp(lw) - math.log(pool.n), rel=1e-12)
+        np.testing.assert_allclose(mean_t, mean, rtol=1e-12)
+        np.testing.assert_allclose(cov_t, cov, rtol=1e-9)
+        assert ess == pytest.approx(1.0 / (w @ w), rel=1e-12)
+        # the h-moment is the reweighted tilt's, the constant having cancelled
+        b = pool.base_log_weights_for(MutationParams.symmetric(theta, 4))
+        assert mean_t[1] == pytest.approx(tilt(pool, sigma, b).g, rel=1e-12)
+
+    def test_plain_pool_normalizer_is_the_dirichlet_constant(self, pool_k4):
+        # at sigma = 0 on the pool's own concentration every weight is the
+        # same constant: log of the integral of prod y^(a - 1) over the simplex
+        a = pool_k4.proposal_a
+        log_z, _, _, ess = _surface(pool_k4, a, 0.0)
+        assert log_z == pytest.approx(4 * gammaln(a) - gammaln(4 * a), rel=1e-12)
+        assert ess == pytest.approx(pool_k4.n, rel=1e-12)
 
 
 class TestScoreSigma:

@@ -23,7 +23,7 @@ from kallele import (
     posterior_summary,
 )
 from kallele import inference
-from kallele.density import _draw_component, build_mixture_pool, g_sigma, pool_for_sigma_range
+from kallele.density import build_mixture_pool, g_sigma, pool_for_sigma_range
 from kallele.inference import (
     BootstrapConfig,
     GSigmaTable,
@@ -126,9 +126,8 @@ class TestMleJoint:
         assert res.theta_hat == pytest.approx(4.8, abs=0.8)
         assert res.sigma_hat == pytest.approx(35.1, abs=6.0)
 
-    def test_profile_draws_one_new_component_per_theta(self, monkeypatch):
-        # the defensive components (2 and 8) do not depend on theta, so
-        # after the first profiled theta only the a = theta/k one is drawn
+    def test_two_pool_builds(self, monkeypatch):
+        # one pilot ladder pool and one final pool, whatever theta-hat is
         builds = []
 
         def counting_build(*args, **kwargs):
@@ -136,10 +135,40 @@ class TestMleJoint:
             return build_mixture_pool(*args, **kwargs)
 
         monkeypatch.setattr(inference, "build_mixture_pool", counting_build)
-        misses = _draw_component.cache_info().misses
-        mle_joint(parse_frequencies("lyme"), seed=31, config=JointMleConfig(pool_n=6000, coarse_points=8))
-        assert len(builds) > 8
-        assert _draw_component.cache_info().misses - misses <= len(builds) + 2
+        res = mle_joint(parse_frequencies("lyme"), seed=31, config=JointMleConfig(pool_n=6000))
+        assert res.converged
+        assert len(builds) == 2
+
+    def test_lyme_theta_hat_does_not_follow_pool_seed(self):
+        # The profile log-likelihood changes by only 0.005 over theta in
+        # [3.5, 6.8], so a pool per profiled theta let pool noise place
+        # theta-hat anywhere from 4.43 to 5.91 over these seeds.
+        fits = [mle_joint(parse_frequencies("lyme"), seed=s, config=JointMleConfig(pool_n=200_000))
+                for s in range(1, 11)]
+        thetas = np.array([r.theta_hat for r in fits])
+        sigmas = np.array([r.sigma_hat for r in fits])
+        assert all(r.converged for r in fits)
+        assert np.ptp(thetas) < 0.2, thetas
+        assert np.ptp(sigmas) < 1.0, sigmas
+        assert np.all(np.abs(thetas - 4.8) <= 0.5), thetas
+
+    def test_surface_optimum_is_the_sigma_root(self):
+        # the sigma-score is self-normalized on the surface and in mle_sigma,
+        # so the 2-D optimum's sigma is mle_sigma's root at its theta
+        x = parse_frequencies("kir")
+        pool = inference._profile_pool(MutationParams.symmetric(6.2, 8), (6.2 / 8,), 7, 100_000)
+        theta, sigma = inference._maximize_surface(pool, x, (5.0, 0.0), (0.1, 50.0), (-1e5, 1e5))
+        res = mle_sigma(homozygosity(x), pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta, 8)))
+        assert res.converged
+        assert abs(sigma - res.sigma_hat) <= MleConfig().bracket_tol
+        assert 5.0 < theta < 7.5
+
+    def test_fixed_coordinate_stays_fixed(self):
+        x = parse_frequencies("lyme")
+        pool = inference._profile_pool(MutationParams.symmetric(4.8, 4), (1.2,), 7, 20_000)
+        theta, sigma = inference._maximize_surface(pool, x, (4.8, 0.0), (4.8, 4.8), (0.0, 20.0))
+        assert theta == 4.8
+        assert sigma == 20.0  # sigma-hat (about 34) lies beyond the box
 
     def test_uniform_unbounded_at_every_theta(self):
         res = mle_joint(SimplexPoint((0.25,) * 4), seed=3, config=JointMleConfig(pool_n=10_000))
@@ -150,7 +179,7 @@ class TestMleJoint:
         # data simulated with no selection: joint estimates center on zero
         theta = MutationParams.symmetric(5.0, 4)
         draws, _ = _selection_arrays(theta, 0.0, 50, 12345, SamplerConfig())
-        cfg = JointMleConfig(pool_n=10_000, theta_tol=0.01, coarse_points=8)
+        cfg = JointMleConfig(pool_n=10_000)
         sigmas = []
         for j, row in enumerate(draws):
             res = mle_joint(SimplexPoint(row), seed=j, config=cfg)
@@ -210,7 +239,7 @@ class TestBootstrap:
         cfg = BootstrapConfig(
             pool_n=10_000,
             joint_refit=True,
-            joint=JointMleConfig(pool_n=5_000, theta_tol=0.05, coarse_points=6),
+            joint=JointMleConfig(pool_n=5_000),
         )
         res = bootstrap(4.8, 35.1, 4, 100, seed=6, config=cfg)
         assert all(e.theta_hat is not None for e in res.estimates if e.converged)
