@@ -287,10 +287,11 @@ def _build(
         a = float(concentrations[0])
         pld = _dirichlet_logconst(np.full(k, a)) + (a - 1.0) * s
     else:
-        parts = np.empty((m, n), dtype=np.float64)
-        for ci, (a, count) in enumerate(zip(concentrations, counts)):
-            const = _dirichlet_logconst(np.full(k, float(a)))
-            parts[ci] = math.log(count / n) + const + (float(a) - 1.0) * s
+        # Components left without draws (n below their number) have mixture weight 0.
+        drawn = [(float(a), count) for a, count in zip(concentrations, counts) if count]
+        parts = np.empty((len(drawn), n), dtype=np.float64)
+        for ci, (a, count) in enumerate(drawn):
+            parts[ci] = math.log(count / n) + _dirichlet_logconst(np.full(k, a)) + (a - 1.0) * s
         pld = _logsumexp_rows(parts)
 
     symmetric_match = (

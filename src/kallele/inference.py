@@ -478,13 +478,11 @@ def _maximize_surface(
 ) -> tuple[float, float]:
     """Maximize the pool's log-likelihood surface over (theta, sigma) in a box.
 
-    In a = theta/k and sigma the surface is concave, with gradient
-    T(x) - E_w[T] and Hessian -Cov_w(T) for T = (s, -h), from one
-    ``_surface`` pass.  Safeguarded Newton: a coordinate at a bound whose
-    gradient points out of the box stays there; the others take a Newton
-    step, projected onto the box and halved until the surface does not
-    decrease.  Stops when a step moves theta and sigma by less than the
-    MLE's ``bracket_tol``.
+    The surface is concave in (a, sigma), a = theta/k, with gradient T(x) - E_w[T]
+    and Hessian -Cov_w(T) for T = (s, -h) from one ``_surface`` pass.  Safeguarded
+    Newton: a coordinate at a bound whose gradient points outward is held there; the
+    others step, projected onto the box and halved until the surface does not
+    decrease, until a step moves theta and sigma by less than ``bracket_tol``.
     """
     k = x.k
     tx = np.array([np.log(x.as_array()).sum(), -homozygosity(x).value])

@@ -106,6 +106,14 @@ class TestBuildPool:
         with pytest.raises(ValueError):
             build_pool(theta_lyme, n=0, seed=1)
 
+    def test_fewer_draws_than_components(self, theta_lyme):
+        # the components left without draws carry no mixture weight
+        pool = build_mixture_pool(theta_lyme, (1.2, 0.4, 2.0, 8.0), n=3, seed=5, keep_draws=False)
+        assert pool.component_counts == (1, 1, 1, 0)
+        full = build_mixture_pool(theta_lyme, (1.2, 0.4, 2.0), n=3, seed=5, keep_draws=False)
+        assert np.array_equal(pool.proposal_log_density, full.proposal_log_density)
+        assert np.all(np.isfinite(pool.b))
+
     def test_mixture_density_matches_scipy(self, mixture_pool_k4):
         # the component log-densities of a real pool, and a copy with tied rows
         pool = mixture_pool_k4
