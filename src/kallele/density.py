@@ -24,7 +24,6 @@ the same bits.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -81,11 +80,6 @@ NEGATIVE_MIXTURE_THRESHOLD = 30.0
 VERTEX_CONCENTRATION = 0.4
 
 _CHUNK = 1 << 14
-
-# Components the draw memo keeps: the four of a posterior chain's pool, which
-# posterior_summary rebuilds from the same seed.  A joint MLE's two pools
-# share no component.
-_COMPONENT_MEMO = 4
 
 # The smallest max-shifted log-weight a pass exponentiates, log(2**-1020).
 # NumPy's vectorized exp leaves its fast path for results below 2**-1021:
@@ -221,19 +215,12 @@ def neutral_log_density(x: SimplexPoint, theta: MutationParams) -> float:
     return _dirichlet_logconst(alphas) + float((alphas - 1.0) @ logx)
 
 
-@functools.lru_cache(maxsize=_COMPONENT_MEMO)
 def _draw_component(a: float, count: int, k: int, seed: int, component: int) -> np.ndarray:
-    """Dirichlet(a, ..., a) draws in fixed chunks of per-chunk substreams.
-
-    The draws are a pure function of the arguments, so they are memoized on
-    all of them and returned read-only: pools that share a component (the
-    fixed defensive concentrations of every profiled theta) draw it once.
-    """
+    """Dirichlet(a, ..., a) draws in fixed chunks of per-chunk substreams."""
     out = np.empty((count, k), dtype=np.float64)
     for chunk_index, pos in enumerate(range(0, count, _CHUNK)):
         size = min(_CHUNK, count - pos)
         out[pos : pos + size] = _dirichlet(np.full(k, a), size, derive_rng(seed, component, chunk_index))
-    out.flags.writeable = False
     return out
 
 

@@ -188,7 +188,11 @@ class BootstrapResult:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorChain:
-    """An MCMC trace over (theta, sigma) with full provenance."""
+    """An MCMC trace over (theta, sigma) with full provenance.
+
+    ``mode`` is the posterior mode (theta, sigma), found on the chain's own
+    likelihood pool when the chain was sampled.
+    """
 
     thetas: np.ndarray
     sigmas: np.ndarray
@@ -200,7 +204,7 @@ class PosteriorChain:
     burn_in: int
     seed: int
     theta_fixed: float | None
-    data: SimplexPoint
+    mode: tuple[float, float]
     pool_seed: int
     pool_n: int
     pool_concentrations: tuple[float, ...]
@@ -208,10 +212,6 @@ class PosteriorChain:
 
     def __len__(self) -> int:
         return self.sigmas.size
-
-    @property
-    def draws(self) -> list[tuple[float, float]]:
-        return list(zip(self.thetas.tolist(), self.sigmas.tolist()))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -747,8 +747,9 @@ def posterior_sample(
     the likelihood evaluated through one fixed pool: the pool's sufficient
     statistics reweight it exactly to any symmetric theta, so the whole
     chain sees a single smooth deterministic likelihood surface (common
-    random numbers in the strongest sense).  Credible intervals are
-    prior-bound-sensitive; the bounds are stamped into the chain.
+    random numbers in the strongest sense).  The posterior mode is found
+    on that pool too.  Credible intervals are prior-bound-sensitive; the
+    bounds are stamped into the chain.
     """
     config = config or PosteriorConfig()
     theta_box, sigma_box = prior_bounds if prior_bounds is not None else DEFAULT_PRIOR_BOUNDS
@@ -856,6 +857,14 @@ def posterior_sample(
             lps[i] = lp_cur
             accs[i] = accepted
 
+    # The mode maximizes the concave likelihood surface of the chain's pool from the
+    # medians of the retained draws, constrained to the prior box (theta held at a
+    # fixed-theta chain's value); under flat priors it is the constrained joint MLE.
+    theta_start = theta_fixed if theta_fixed is not None else float(np.median(thetas))
+    box = (theta_fixed, theta_fixed) if theta_fixed is not None else (max(theta_box[0], 1e-3), theta_box[1])
+    theta_mode, sigma_mode = _maximize_surface(pool, x, (theta_start, float(np.median(sigmas))), box, sigma_box)
+    mode = (float(theta_fixed) if theta_fixed is not None else theta_mode, sigma_mode)
+
     rate = n_accept / total
     notes: tuple[str, ...] = ()
     if rate < ACCEPTANCE_FLAG:
@@ -874,7 +883,7 @@ def posterior_sample(
         burn_in=config.burn_in,
         seed=int(seed),
         theta_fixed=theta_fixed,
-        data=x,
+        mode=mode,
         pool_seed=pool.seed,
         pool_n=pool.n,
         pool_concentrations=pool.concentrations,
@@ -883,13 +892,7 @@ def posterior_sample(
 
 
 def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[IntervalEstimate, tuple[float, float]]:
-    """Equal-tailed credible interval for sigma plus the posterior mode.
-
-    The mode maximizes the concave log-likelihood surface of the chain's own
-    pool by Newton's method, constrained to the prior box (theta held at a
-    fixed-theta chain's value); under flat priors it is the constrained
-    joint MLE.
-    """
+    """Equal-tailed credible interval for sigma plus the chain's posterior mode."""
     if len(chain) < 1000:
         raise ValueError("need at least 1000 retained draws to summarize")
     alpha = 1.0 - level
@@ -901,18 +904,4 @@ def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[Inter
         method="credible",
         alpha_split=(alpha / 2.0, alpha / 2.0),
     )
-
-    x = chain.data
-    theta_box, sigma_box = chain.prior_bounds
-    fixed = chain.theta_fixed
-    theta_start = fixed if fixed is not None else float(np.median(chain.thetas))
-    pool = build_mixture_pool(
-        MutationParams.symmetric(theta_start, x.k),
-        chain.pool_concentrations,
-        chain.pool_n,
-        chain.pool_seed,
-        keep_draws=False,
-    )
-    box = (fixed, fixed) if fixed is not None else (max(theta_box[0], 1e-3), theta_box[1])
-    theta_mode, sigma_mode = _maximize_surface(pool, x, (theta_start, float(np.median(chain.sigmas))), box, sigma_box)
-    return interval, (float(fixed) if fixed is not None else theta_mode, sigma_mode)
+    return interval, chain.mode

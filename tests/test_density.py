@@ -24,8 +24,6 @@ from kallele import (
     score_sigma,
 )
 from kallele.density import (
-    _COMPONENT_MEMO,
-    _draw_component,
     _log_z,
     _logsumexp_rows,
     _surface,
@@ -97,6 +95,11 @@ class TestBuildPool:
         p2 = build_pool(theta_lyme, n=5000, seed=9)
         assert np.array_equal(p1.h, p2.h)
         assert np.array_equal(p1.draws, p2.draws)
+        m1, m2 = (
+            build_mixture_pool(theta_lyme, (1.2, 2.0, 8.0), n=30_000, seed=77, keep_draws=False) for _ in range(2)
+        )
+        for name in ("h", "s", "b", "proposal_log_density"):
+            assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
     def test_mixture_weights_finite(self, mixture_pool_k4):
         assert np.all(np.isfinite(mixture_pool_k4.b))
@@ -129,26 +132,6 @@ class TestBuildPool:
         for arr in (parts, tied):
             assert np.array_equal(_logsumexp_rows(arr), logsumexp(arr, axis=0))
         assert np.array_equal(_logsumexp_rows(parts), pool.proposal_log_density)
-
-
-class TestComponentMemo:
-    def test_rebuild_is_identical(self, theta_lyme):
-        p1 = build_mixture_pool(theta_lyme, (1.2, 2.0, 8.0), n=30_000, seed=77, keep_draws=False)
-        p2 = build_mixture_pool(theta_lyme, (1.2, 2.0, 8.0), n=30_000, seed=77, keep_draws=False)
-        for name in ("h", "s", "b", "proposal_log_density"):
-            assert np.array_equal(getattr(p1, name), getattr(p2, name))
-
-    def test_draws_read_only_and_memo_bounded(self, theta_lyme):
-        x = _draw_component(2.0, 1000, 4, 78, 1)
-        assert not x.flags.writeable
-        with pytest.raises(ValueError):
-            x[0, 0] = 0.5
-        for seed in range(79, 79 + 2 * _COMPONENT_MEMO):
-            build_mixture_pool(theta_lyme, (1.2, 2.0, 8.0), n=3000, seed=seed, keep_draws=False)
-            assert _draw_component.cache_info().currsize <= _COMPONENT_MEMO
-        # a pool keeping its draws owns a writable copy
-        pool = build_pool(theta_lyme, n=1000, seed=78)
-        assert pool.draws.flags.writeable
 
 
 class TestLogNormalizer:

@@ -10,9 +10,10 @@ Each line is ``<sha256>  <output>``.  Floats are hashed through their
 exact bits (``repr`` in records, raw bytes in arrays), so any change in any
 output, down to the last bit, changes its line.  Outputs: ``simulate``
 JSON lines on the four sampler routes, ``bootstrap`` records at three
-generators, the joint MLE, the exact CI and the CI pool's arrays on both
-bundled datasets, and a joint (theta, sigma) chain and a fixed-theta chain
-with their summaries.  Wall time on a 2-vCPU Xeon: about 30 s.
+generators, the CSV of a ``sampling_dist`` study, the joint MLE, the exact CI
+and the CI pool's arrays on both bundled datasets, and a joint (theta, sigma)
+chain and a fixed-theta chain with their summaries.  Wall time on a 2-vCPU
+Xeon: about 30 s.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from kallele import MutationParams, homozygosity, parse_frequencies
 from kallele import inference
 from kallele.density import pool_for_sigma_range
 from kallele.sampler import SamplerConfig, sample_neutral, sample_selection, write_samples_jsonl
+from kallele.study import StudySpec, run_study
 
 
 def _digest(*parts) -> str:
@@ -74,6 +76,13 @@ def bootstrap() -> None:
         _show(f"bootstrap theta={theta} sigma={sigma} k={k}", records, repr(res.as_dict()))
 
 
+def study(tmp: str) -> None:
+    params = {"k": 4, "theta": 4.8, "sigma": 35.1, "n_datasets": 200, "pool_n": 100_000}
+    outputs = run_study(StudySpec(kind="sampling_dist", parameters=params, seed=23, out=tmp))
+    with open(outputs["table"], "rb") as fh:
+        _show("study sampling_dist", fh.read())
+
+
 def mle_and_ci() -> None:
     for label, theta in (("lyme", 4.8), ("kir", 6.24)):
         x = parse_frequencies(label)
@@ -98,6 +107,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         simulate(tmp)
     bootstrap()
+    with tempfile.TemporaryDirectory() as tmp:
+        study(tmp)
     mle_and_ci()
     posterior()
     return 0
