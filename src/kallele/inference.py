@@ -98,6 +98,8 @@ _PILOT_SHARE = 5
 _THETA_START = 5.0
 # A bound on one surface search's Newton iterations (from those starts, under ten).
 _NEWTON_ITERATIONS = 100
+# Draws of the joint MLE that places a posterior chain's pool at its pilot theta.
+_PILOT_POOL_N = 30_000
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,6 @@ class MonotoneCiConfig:
 class PosteriorConfig:
     burn_in: int = 1000
     pool_n: int = 100_000
-    pilot_pool_n: int = 30_000
     theta_fixed: float | None = None
 
 
@@ -765,41 +766,34 @@ def posterior_sample(
     k = x.k
     h = homozygosity(x)
 
-    # Pilot estimates locate and scale the sigma proposal.
     if config.theta_fixed is not None:
         theta_pilot = float(config.theta_fixed)
     else:
-        pilot_cfg = JointMleConfig(theta_bounds=(max(0.1, theta_box[0]), theta_box[1]), pool_n=config.pilot_pool_n)
+        pilot_cfg = JointMleConfig(theta_bounds=(max(0.1, theta_box[0]), theta_box[1]), pool_n=_PILOT_POOL_N)
         pilot = mle_joint(x, _subseed(seed, 4), pilot_cfg)
         theta_pilot = pilot.theta_hat if pilot.theta_hat is not None else 0.5 * (theta_box[0] + theta_box[1])
-    pilot_params = MutationParams.symmetric(theta_pilot, k)
-    pilot_pool = pool_for_sigma_range(
-        pilot_params,
-        config.pilot_pool_n,
-        _subseed(seed, 5),
-        sigma_lo=min(sigma_box[0], -2.0 * NEGATIVE_MIXTURE_THRESHOLD),
-        sigma_hi=max(sigma_box[1], 2000.0),
-    )
-    pilot_mle = mle_sigma(h, pilot_pool)
-    if pilot_mle.converged:
-        center = float(np.clip(pilot_mle.sigma_hat, sigma_box[0], sigma_box[1]))
-    else:
-        center = sigma_box[1] - 0.05 * (sigma_box[1] - sigma_box[0]) if pilot_mle.sigma_hat > 0 else sigma_box[0]
-    pilot_ci = monotone_ci(
-        h, pilot_pool, 0.025, 0.025, MonotoneCiConfig(sigma_range=(sigma_box[0] - 1.0, max(sigma_box[1], 2000.0)))
-    )
-    scale = PROPOSAL_SCALE_FACTOR * max(pilot_ci.width, 1.0)
-    scale = float(np.clip(scale, 5.0, 4.0 * (sigma_box[1] - sigma_box[0])))
 
     # The chain's likelihood pool: defensive mixture around the pilot theta,
-    # covering both sign regimes the prior box allows.
+    # covering both sign regimes the prior box allows.  Pilot estimates on it
+    # locate and scale the sigma proposal.
     pool = pool_for_sigma_range(
-        pilot_params,
+        MutationParams.symmetric(theta_pilot, k),
         config.pool_n,
         _subseed(seed, 6),
         sigma_lo=min(sigma_box[0], -2.0 * NEGATIVE_MIXTURE_THRESHOLD),
         sigma_hi=max(sigma_box[1], 2.0 * MIXTURE_SIGMA_THRESHOLD),
     )
+    pilot_mle = mle_sigma(h, pool)
+    if pilot_mle.converged:
+        center = float(np.clip(pilot_mle.sigma_hat, sigma_box[0], sigma_box[1]))
+    else:
+        center = sigma_box[1] - 0.05 * (sigma_box[1] - sigma_box[0]) if pilot_mle.sigma_hat > 0 else sigma_box[0]
+    pilot_ci = monotone_ci(
+        h, pool, 0.025, 0.025, MonotoneCiConfig(sigma_range=(sigma_box[0] - 1.0, max(sigma_box[1], 2000.0)))
+    )
+    scale = PROPOSAL_SCALE_FACTOR * max(pilot_ci.width, 1.0)
+    scale = float(np.clip(scale, 5.0, 4.0 * (sigma_box[1] - sigma_box[0])))
+
     # One likelihood-surface pass per proposal; a fixed-theta chain keeps its sigma = 0 log-weights.
     sx = float(np.log(x.as_array()).sum())
     base: dict[float, np.ndarray] = {}

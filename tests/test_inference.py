@@ -307,7 +307,7 @@ def lyme_chain():
         parse_frequencies("lyme"),
         chain_length=6000,
         seed=17,
-        config=PosteriorConfig(pool_n=30_000, pilot_pool_n=20_000, burn_in=500),
+        config=PosteriorConfig(pool_n=30_000, burn_in=500),
     )
 
 
@@ -343,19 +343,44 @@ class TestPosterior:
             parse_frequencies("lyme"),
             chain_length=4000,
             seed=23,
-            config=PosteriorConfig(pool_n=20_000, pilot_pool_n=15_000, theta_fixed=4.8, burn_in=500),
+            config=PosteriorConfig(pool_n=20_000, theta_fixed=4.8, burn_in=500),
         )
         assert chain.theta_fixed == 4.8
         assert np.all(chain.thetas == 4.8)
         _, (t_mode, _) = posterior_summary(chain, 0.9)
         assert t_mode == 4.8
 
+    @pytest.mark.parametrize("theta_fixed, chain_builds", [(None, 3), (4.8, 1)])
+    def test_pool_builds(self, monkeypatch, theta_fixed, chain_builds):
+        # a joint chain builds the pilot joint MLE's two pools and its own; a
+        # fixed-theta chain only its own; the summary builds none
+        builds = []
+
+        def counting(build):
+            def counted(*args, **kwargs):
+                builds.append(args)
+                return build(*args, **kwargs)
+
+            return counted
+
+        for name in ("build_mixture_pool", "pool_for_sigma_range"):
+            monkeypatch.setattr(inference, name, counting(getattr(inference, name)))
+        chain = posterior_sample(
+            parse_frequencies("lyme"),
+            chain_length=1600,
+            seed=41,
+            config=PosteriorConfig(pool_n=6000, theta_fixed=theta_fixed, burn_in=500),
+        )
+        assert len(builds) == chain_builds
+        posterior_summary(chain, 0.95)
+        assert len(builds) == chain_builds
+
     def test_summary_requires_length(self, lyme_chain):
         short = posterior_sample(
             parse_frequencies("lyme"),
             chain_length=1200,
             seed=29,
-            config=PosteriorConfig(pool_n=10_000, pilot_pool_n=10_000, burn_in=500),
+            config=PosteriorConfig(pool_n=10_000, burn_in=500),
         )
         with pytest.raises(ValueError, match="1000"):
             posterior_summary(short, 0.95)
