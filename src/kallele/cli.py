@@ -122,7 +122,7 @@ def _load_single_dataset(source: str):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.time()
     seed = _resolve_seed(args.seed)
-    pool_size = args.pool_size or _env_int("KALLELE_POOL_SIZE", 100_000)
+    pool_size = args.pool_size if args.pool_size is not None else _env_int("KALLELE_POOL_SIZE", 100_000)
     threads = args.threads or _env_int("KALLELE_THREADS", 1)
     label, point = _load_single_dataset(args.data)
     h = homozygosity(point)
@@ -244,10 +244,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
     outputs = run_study(spec)
     print(f"study[{spec.kind}]: " + ", ".join(f"{k}={v}" for k, v in outputs.items()))
     if args.out:
-        record = _record(
-            "study", {"spec": args.spec}, {"spec_content": json.loads(open(args.spec).read())},
-            outputs, started,
-        )
+        with open(args.spec) as fh:
+            spec_content = json.load(fh)
+        record = _record("study", {"spec": args.spec}, {"spec_content": spec_content}, outputs, started)
         _write_record(args.out, record)
     return 0
 

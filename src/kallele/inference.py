@@ -528,6 +528,8 @@ def mle_joint(
     in sigma at every theta.
     """
     config = config or JointMleConfig()
+    if config.pool_n < 1:
+        raise ValueError(f"pool size must be at least 1, got {config.pool_n}")
     k = x.k
     h = homozygosity(x)
     theta_box = config.theta_bounds
@@ -548,6 +550,11 @@ def mle_joint(
     if min(theta_hat - theta_box[0], theta_box[1] - theta_hat) < MleConfig().bracket_tol:
         notes = notes + ("theta-at-bound: outer optimum sits at a search bound",)
     return replace(inner, theta_hat=theta_hat, notes=notes)
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 def _quantile_with_inf(sorted_vals: np.ndarray, q: float) -> float:
@@ -612,6 +619,7 @@ def bootstrap(
     for sensitivity analysis.
     """
     config = config or BootstrapConfig()
+    _check_level(config.level)
     if m < 100:
         raise ValueError("bootstrap needs m >= 100 replicates")
     params = MutationParams.symmetric(theta, k)
@@ -887,6 +895,7 @@ def posterior_sample(
 
 def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[IntervalEstimate, tuple[float, float]]:
     """Equal-tailed credible interval for sigma plus the chain's posterior mode."""
+    _check_level(level)
     if len(chain) < 1000:
         raise ValueError("need at least 1000 retained draws to summarize")
     alpha = 1.0 - level

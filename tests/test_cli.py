@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 
@@ -141,6 +142,23 @@ class TestAnalyze:
         assert code == 2
         assert "lower < upper" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--method", "mle", "--pool-size", "-5"),
+            ("--method", "mle", "--pool-size", "0"),
+            ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
+             "--pool-size", "2000", "--level", "1.5"),
+            ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
+             "--pool-size", "2000", "--level", "0"),
+        ],
+    )
+    def test_bad_value_is_one_line_exit_2(self, capsys, argv):
+        code = run_cli("analyze", "--data", "lyme", "--seed", "1", *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit) as err:
             run_cli("analyze", "--data", "lyme", "--method", "magic")
@@ -161,6 +179,18 @@ class TestStudyCommand:
         assert code == 0
         assert (tmp_path / "study_out" / "mle_curve.csv").exists()
         assert (tmp_path / "record.json").exists()
+
+    def test_record_closes_spec_file(self, tmp_path):
+        spec = {"kind": "instability_prob",
+                "parameters": {"k": 4, "theta": 5.0, "sigma_grid": [2.0], "epsilon": 0.2, "n_per_sigma": 50},
+                "seed": 1, "out": str(tmp_path / "out")}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = run_cli("study", str(spec_path), "--out", str(tmp_path / "record.json"))
+        assert code == 0
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_malformed_spec_lists_fields(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"

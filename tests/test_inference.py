@@ -331,6 +331,11 @@ class TestPosterior:
         narrow, _ = posterior_summary(lyme_chain, 0.5)
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_level_outside_unit_interval_rejected(self, lyme_chain, level):
+        with pytest.raises(ValueError, match="level"):
+            posterior_summary(lyme_chain, level)
+
     def test_mode_matches_joint_mle(self, lyme_chain):
         # flat prior: interior posterior mode == constrained joint MLE
         _, (t_mode, s_mode) = posterior_summary(lyme_chain, 0.95)
