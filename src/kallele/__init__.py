@@ -73,5 +73,4 @@ from .study import (
     instability_probability,
     mle_curve,
     run_study,
-    sampling_distribution,
 )

@@ -202,15 +202,6 @@ class SelectionModel:
         m = np.asarray(matrix, dtype=np.float64)
         return cls(mode="matrix", matrix=tuple(tuple(float(v) for v in row) for row in m))
 
-    @property
-    def is_symmetric_overdominance(self) -> bool:
-        return self.mode == "symmetric"
-
-    @property
-    def dimension(self) -> int | None:
-        """k for matrix mode; None for the scalar model (dimension-free)."""
-        return None if self.matrix is None else len(self.matrix)
-
     def matrix_array(self, k: int | None = None) -> np.ndarray:
         """The k x k intensity matrix (sigma * I for the scalar model)."""
         if self.mode == "symmetric":

@@ -104,7 +104,6 @@ class EssReport:
 
     ess: float
     n: int
-    min_weight_fraction: float
     max_weight_fraction: float
     floor: float = DEFAULT_ESS_FLOOR
 
@@ -523,7 +522,6 @@ def log_normalizer(
     report = EssReport(
         ess=min(max(t.ess, 1.0), float(pool.n)),
         n=pool.n,
-        min_weight_fraction=float(w.min()) / total,
         max_weight_fraction=1.0 / total,
         floor=ess_floor,
     )

@@ -27,13 +27,11 @@ from .inference import (
     BootstrapConfig,
     GSigmaTable,
     MleConfig,
-    MleResult,
     PosteriorConfig,
     bootstrap,
     mle_sigma,
     posterior_sample,
     posterior_summary,
-    _replicate_mles,
     _subseed,
 )
 from .sampler import SamplerConfig, _selection_arrays
@@ -43,7 +41,6 @@ __all__ = [
     "StudySchemaError",
     "STUDY_KINDS",
     "mle_curve",
-    "sampling_distribution",
     "instability_probability",
     "cdf_panel",
     "run_study",
@@ -121,34 +118,6 @@ def mle_curve(
         res = mle_sigma(Homozygosity(value=float(hv), k=k), pool, config, table)
         rows.append({"h": float(hv), "sigma_hat": res.sigma_hat, "status": res.status})
     return rows
-
-
-def sampling_distribution(
-    theta: float,
-    sigma: float,
-    k: int,
-    n_datasets: int,
-    seed: int,
-    pool_n: int = 100_000,
-    mle_config: MleConfig | None = None,
-    sampler_config: SamplerConfig | None = None,
-) -> list[MleResult]:
-    """Sampling distribution of the conditional MLE at a generator (theta, sigma).
-
-    Simulates populations, re-estimates sigma on each; statuses preserved.
-    """
-    if n_datasets < 100:
-        raise ValueError("need at least 100 simulated datasets")
-    mle_config = mle_config or MleConfig()
-    params = MutationParams.symmetric(theta, k)
-    draws, _ = _selection_arrays(params, sigma, n_datasets, _subseed(seed, 2), sampler_config)
-    h_values = np.einsum("ij,ij->i", draws, draws)
-    pool = pool_for_sigma_range(
-        params, pool_n, _subseed(seed, 1),
-        sigma_lo=-mle_config.sigma_cap, sigma_hi=mle_config.sigma_cap,
-    )
-    table = GSigmaTable(pool)
-    return _replicate_mles(h_values, k, pool, mle_config, table)
 
 
 def instability_probability(
@@ -306,18 +275,19 @@ def run_study(spec: StudySpec) -> dict:
         outputs["table"] = path
 
     elif spec.kind == "sampling_dist":
+        # The sampling distribution of the conditional MLE is the bootstrap's replicate set.
         _require(p, ["k", "theta", "sigma"], spec.kind)
-        results = sampling_distribution(
+        result = bootstrap(
             float(num("theta")),
             float(num("sigma")),
             int(num("k")),
             int(num("n_datasets", 1000)),
             spec.seed,
-            pool_n=int(num("pool_n", 100_000)),
+            BootstrapConfig(pool_n=int(num("pool_n", 100_000))),
         )
         rows = [
             {"replicate": i, "sigma_hat": r.sigma_hat, "status": r.status}
-            for i, r in enumerate(results)
+            for i, r in enumerate(result.estimates)
         ]
         path = os.path.join(spec.out, "sampling_dist.csv")
         _write_csv(path, rows, ["replicate", "sigma_hat", "status"])

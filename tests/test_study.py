@@ -16,7 +16,6 @@ from kallele import (
     monotone_ci,
     parse_frequencies,
     run_study,
-    sampling_distribution,
 )
 from kallele.density import cdf_homozygosity, pool_for_sigma_range
 
@@ -52,20 +51,19 @@ class TestMleCurve:
 
 
 class TestSamplingDistribution:
-    def test_null_centered(self):
-        results = sampling_distribution(5.0, 0.0, 4, 200, seed=8, pool_n=30_000)
-        sigmas = np.asarray([r.sigma_hat for r in results if r.converged])
+    def test_null_centered(self, tmp_path):
+        spec = StudySpec(
+            kind="sampling_dist",
+            parameters={"k": 4, "theta": 5.0, "sigma": 0.0, "n_datasets": 200, "pool_n": 30_000},
+            seed=8,
+            out=str(tmp_path),
+        )
+        with open(run_study(spec)["table"]) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert len(rows) == 200
+        sigmas = np.asarray([float(sigma) for _, sigma, status in rows if status == "converged"])
         assert len(sigmas) >= 195
         assert abs(np.median(sigmas)) < 3.0 * sigmas.std() / math.sqrt(len(sigmas))
-
-    def test_replays_identically(self):
-        a = sampling_distribution(5.0, 10.0, 4, 120, seed=9, pool_n=20_000)
-        b = sampling_distribution(5.0, 10.0, 4, 120, seed=9, pool_n=20_000)
-        assert [r.sigma_hat for r in a] == [r.sigma_hat for r in b]
-
-    def test_minimum_size(self):
-        with pytest.raises(ValueError, match="100"):
-            sampling_distribution(5.0, 0.0, 4, 50, seed=1)
 
 
 class TestInstabilityProbability:

@@ -13,7 +13,7 @@ JSON lines on the four sampler routes, ``bootstrap`` records at three
 generators, the CSV of a ``sampling_dist`` study, the joint MLE, the exact CI
 and the CI pool's arrays on both bundled datasets, and a joint (theta, sigma)
 chain and a fixed-theta chain with their summaries.  Wall time on a 2-vCPU
-Xeon: about 30 s.
+Xeon: about 7 s.
 """
 
 from __future__ import annotations
