@@ -418,11 +418,38 @@ def _weights(base: np.ndarray, stat: np.ndarray, sigma: float) -> tuple[np.ndarr
     return lw, top, i_top
 
 
+def _fraction_below(w_below: float, w_above: float) -> float:
+    return 1.0 / (1.0 + w_above / w_below) if w_below > 0.0 else 0.0
+
+
 def _cdf(w: np.ndarray, stat: np.ndarray, cdf_at: float) -> float:
     """Weighted fraction of draws with stat <= cdf_at, as 1/(1 + W_above/W_below)."""
     below = stat <= cdf_at
-    w_below = float(w @ below)
-    return 1.0 / (1.0 + float(w @ ~below) / w_below) if w_below > 0.0 else 0.0
+    return _fraction_below(float(w @ below), float(w @ ~below))
+
+
+def _cdf_logit(pool: WeightedPool, sigma: float, cdf_at: float) -> tuple[float, float, float]:
+    """One CDF pass with its slope: F = P(H <= cdf_at), logit F and d(logit F)/d(sigma).
+
+    F is ``cdf_homozygosity``'s value bit for bit, and logit F is -log of
+    the same ratio W_above/W_below, so both are exactly monotone in sigma.
+    The slope E_w[h | h > cdf_at] - E_w[h | h <= cdf_at] is never negative;
+    its h-weighted sums come from the pass's own weight array, multiplied
+    by h in place.  Both sides are summed directly: the total minus one
+    side loses every digit of the other where that side is light, and a
+    slope off by orders of magnitude would stop a Newton solve early.
+    Where either side carries no weight, logit F is infinite and the slope
+    NaN.
+    """
+    w = _weights(pool.b, pool.h, sigma)[0]
+    below = pool.h <= cdf_at
+    above = ~below
+    w_below, w_above = float(w @ below), float(w @ above)
+    f = _fraction_below(w_below, w_above)
+    if w_below == 0.0 or w_above == 0.0:
+        return f, math.inf if w_above == 0.0 else -math.inf, math.nan
+    w *= pool.h
+    return f, -math.log(w_above / w_below), float(w @ above) / w_above - float(w @ below) / w_below
 
 
 def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray, cdf_at: float | None = None) -> Tilt:

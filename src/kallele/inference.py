@@ -11,9 +11,10 @@ studies, CLI) carries that status through rather than masking it.
 
 Interval estimates come in three flavours: percentile bootstrap (whose
 heavy right tail under strong heterozygote advantage is the package's
-raison d'etre), exact intervals from the monotone homozygosity CDF, and
-equal-tailed credible intervals from an independence Metropolis-Hastings
-posterior chain over (theta, sigma).
+raison d'etre), exact intervals from the monotone homozygosity CDF, whose
+endpoints the same safeguarded Newton finds on logit F, and equal-tailed
+credible intervals from an independence Metropolis-Hastings posterior
+chain over (theta, sigma).
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from .density import (
     NEGATIVE_MIXTURE_THRESHOLD,
     WeightedPool,
     Tilt,
+    _cdf_logit,
     _log_z,
     _surface,
     _surface_base,
     build_mixture_pool,
-    cdf_homozygosity,
     pool_for_sigma_range,
     tilt,
 )
@@ -300,6 +301,42 @@ class GSigmaTable:
         return t
 
 
+def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> tuple:
+    """Safeguarded Newton on a non-increasing residual whose root lies in [lo, hi].
+
+    ``at(sigma)`` makes one pool pass; ``residual(pass)`` reads the residual
+    and its slope in sigma from it; ``t`` is the pass at the start
+    ``sigma``.  Each iterate's residual sign moves one end of the bracket,
+    so the bracket keeps a certified sign change.  A step that leaves the
+    bracket, has no negative slope to follow or fails to halve the step two
+    before is replaced by bisection.  Stops at a zero residual or when a
+    Newton step or the bracket is below ``tol``.  Returns the last iterate,
+    its pass and the bracket.
+    """
+    last_step = older_step = math.inf
+    while True:
+        f, df = residual(t)
+        if f > 0.0:
+            lo = sigma
+        elif f < 0.0:
+            hi = sigma
+        else:
+            break
+        step = -f / df if df < 0.0 else math.inf
+        nxt = sigma + step
+        if lo < nxt < hi and abs(step) <= 0.5 * older_step:
+            if abs(step) < tol:
+                break
+        else:
+            nxt = 0.5 * (lo + hi)
+            step = nxt - sigma
+        if hi - lo < tol or not lo < nxt < hi:
+            break
+        older_step, last_step = last_step, abs(step)
+        sigma, t = nxt, at(nxt)
+    return sigma, t, lo, hi
+
+
 def mle_sigma(
     h: Homozygosity,
     pool: WeightedPool,
@@ -417,27 +454,9 @@ def mle_sigma(
     t = t_lo if sigma == lo else t_hi if sigma == hi else tilt(pool, sigma, b)
 
     # Safeguarded Newton from there.
-    last_step = older_step = math.inf
-    while True:
-        f = t.g - hv
-        if f > 0.0:
-            lo = sigma
-        elif f < 0.0:
-            hi = sigma
-        else:
-            break
-        step = -f / t.dg if t.dg < 0.0 else math.inf
-        nxt = sigma + step
-        if lo < nxt < hi and abs(step) <= 0.5 * older_step:
-            if abs(step) < config.bracket_tol:
-                break
-        else:
-            nxt = 0.5 * (lo + hi)
-            step = nxt - sigma
-        if hi - lo < config.bracket_tol or not lo < nxt < hi:
-            break
-        older_step, last_step = last_step, abs(step)
-        sigma, t = nxt, tilt(pool, nxt, b)
+    sigma, t, lo, hi = _newton(
+        lambda s: tilt(pool, s, b), lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, config.bracket_tol
+    )
 
     if t.ess < DEFAULT_ESS_FLOOR:
         # The root exists on the empirical curve but hangs on a handful of
@@ -696,10 +715,13 @@ def monotone_ci(
     """Exact confidence interval from the monotone homozygosity CDF.
 
     Finds the smallest and largest intensities supporting the data:
-    F(h | lower) = alpha1 and F(h | upper) = 1 - alpha2, by bisection on
-    the exactly monotone empirical CDF.  The search range includes negative
-    intensities; an endpoint pinned at a range bound carries a widen-range
-    advisory note.
+    F(h | lower) = alpha1 and F(h | upper) = 1 - alpha2 on the exactly
+    monotone empirical CDF.  Each endpoint is a safeguarded Newton solve
+    (``mle_sigma``'s) on logit F, whose slope comes with F from one pass,
+    inside the search range and from its own end of it; it stops within
+    ``tol`` of the root.  The search range includes negative intensities;
+    an endpoint pinned at a range bound carries a widen-range advisory
+    note.
     """
     config = config or MonotoneCiConfig()
     # alpha1 + alpha2 == 1 is the degenerate boundary: both quantile
@@ -707,28 +729,27 @@ def monotone_ci(
     if not (0.0 < alpha1 and 0.0 < alpha2 and alpha1 + alpha2 <= 1.0):
         raise ValueError("need alpha1 > 0, alpha2 > 0 and alpha1 + alpha2 <= 1")
     s_lo, s_hi = config.sigma_range
-    f_lo = cdf_homozygosity(pool, s_lo, h)
-    f_hi = cdf_homozygosity(pool, s_hi, h)
+    hv = float(h.value)
+    at = functools.partial(_cdf_logit, pool, cdf_at=hv)
+    end_lo, end_hi = at(s_lo), at(s_hi)
+    f_lo, f_hi = end_lo[0], end_hi[0]
     notes: list[str] = []
 
-    def solve(target: float, label: str) -> float:
+    def solve(target: float, label: str, start: float, t: tuple) -> float:
         if f_lo > target:
             notes.append(f"{label}-endpoint-at-range-bound: F({s_lo:g})={f_lo:.4g} > {target:g}; widen sigma_range")
             return s_lo
         if f_hi < target:
             notes.append(f"{label}-endpoint-at-range-bound: F({s_hi:g})={f_hi:.4g} < {target:g}; widen sigma_range")
             return s_hi
-        lo, hi = s_lo, s_hi
-        while hi - lo > config.tol:
-            mid = 0.5 * (lo + hi)
-            if cdf_homozygosity(pool, mid, h) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        goal = math.log(target / (1.0 - target))
+        return _newton(at, lambda p: (goal - p[1], -p[2]), start, t, s_lo, s_hi, config.tol)[0]
 
-    lower = solve(alpha1, "lower")
-    upper = solve(1.0 - alpha2, "upper")
+    # Each solve starts from its own end of the range, where logit F is
+    # close to linear in sigma.  Both land within tol of their roots, which
+    # are ordered, so a crossing (equal targets, say) is below tol.
+    lower = solve(alpha1, "lower", s_lo, end_lo)
+    upper = max(solve(1.0 - alpha2, "upper", s_hi, end_hi), lower)
     return IntervalEstimate(
         lower=lower,
         upper=upper,

@@ -22,8 +22,8 @@ from kallele import (
     posterior_sample,
     posterior_summary,
 )
-from kallele import inference
-from kallele.density import build_mixture_pool, g_sigma, pool_for_sigma_range
+from kallele import density, inference
+from kallele.density import build_mixture_pool, cdf_homozygosity, g_sigma, pool_for_sigma_range
 from kallele.inference import (
     BootstrapConfig,
     GSigmaTable,
@@ -260,6 +260,11 @@ class TestQuantileWithInf:
         assert _quantile_with_inf(v, 0.1) == -math.inf
 
 
+@pytest.fixture(scope="module")
+def mixture_pool_k8():
+    return build_mixture_pool(MutationParams.symmetric(6.2, 8), (0.775, 0.4, 2.0, 8.0), n=100_000, seed=808)
+
+
 class TestMonotoneCi:
     def test_alpha_validation(self, pool_k4):
         h = Homozygosity(0.3, 4)
@@ -293,6 +298,55 @@ class TestMonotoneCi:
         wide = monotone_ci(h, mixture_pool_k4, 0.025, 0.025)
         narrow = monotone_ci(h, mixture_pool_k4, 0.25, 0.25)
         assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
+
+    @pytest.mark.parametrize("alphas", [(0.025, 0.025), (0.1, 0.05), (0.25, 0.25)])
+    @pytest.mark.parametrize("pool_name", ["mixture_pool_k4", "mixture_pool_k8"])
+    def test_endpoints_match_bisection(self, request, pool_name, alphas):
+        pool = request.getfixturevalue(pool_name)
+        h = homozygosity(parse_frequencies("lyme" if pool.k == 4 else "kir"))
+        cfg = MonotoneCiConfig()
+        iv = monotone_ci(h, pool, *alphas, cfg)
+        assert not iv.notes
+
+        def bisect(target):
+            lo, hi = cfg.sigma_range
+            while hi - lo > cfg.tol:
+                mid = 0.5 * (lo + hi)
+                if cdf_homozygosity(pool, mid, h) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        assert abs(iv.lower - bisect(alphas[0])) <= 2 * cfg.tol
+        assert abs(iv.upper - bisect(1.0 - alphas[1])) <= 2 * cfg.tol
+
+    def test_few_passes_per_interval(self, monkeypatch):
+        # Bisection from (-500, 2000) to tol = 1e-6 makes 2 + 2 x 32 = 66 passes.
+        x = parse_frequencies("lyme")
+        pool = pool_for_sigma_range(MutationParams.symmetric(4.95, 4), 500_000, 7, sigma_lo=-500.0, sigma_hi=2000.0)
+        calls = []
+        weights = density._weights
+        monkeypatch.setattr(density, "_weights", lambda *a: calls.append(a[2]) or weights(*a))
+        iv = monotone_ci(homozygosity(x), pool, 0.025, 0.025)
+        assert iv.lower < 0.0 < iv.upper and not iv.notes
+        assert len(calls) <= 20
+
+    def test_solver_reads_the_cdf(self, monkeypatch, mixture_pool_k4):
+        h = homozygosity(parse_frequencies("lyme"))
+        seen = []
+        cdf_logit = inference._cdf_logit
+
+        def recording(pool, sigma, cdf_at):
+            out = cdf_logit(pool, sigma, cdf_at)
+            seen.append((sigma, out[0]))
+            return out
+
+        monkeypatch.setattr(inference, "_cdf_logit", recording)
+        monotone_ci(h, mixture_pool_k4, 0.025, 0.025)
+        assert len(seen) > 2
+        for sigma, f in seen:
+            assert f == cdf_homozygosity(mixture_pool_k4, sigma, h)
 
 
 class TestIntervalEstimate:
