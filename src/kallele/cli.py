@@ -24,6 +24,7 @@ from . import __version__
 from .core import FrequencyParseError, MutationParams, load_dataset, homozygosity
 from .density import pool_for_sigma_range
 from .inference import (
+    _check_level,
     BootstrapConfig,
     MonotoneCiConfig,
     PosteriorConfig,
@@ -123,7 +124,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.time()
     seed = _resolve_seed(args.seed)
     pool_size = args.pool_size if args.pool_size is not None else _env_int("KALLELE_POOL_SIZE", 100_000)
-    threads = args.threads or _env_int("KALLELE_THREADS", 1)
+    threads = args.threads if args.threads is not None else _env_int("KALLELE_THREADS", 1)
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+    if args.method in ("bootstrap", "posterior"):
+        # Before any pilot fit or chain: a bad level would only surface after them.
+        _check_level(args.level)
     label, point = _load_single_dataset(args.data)
     h = homozygosity(point)
     k = point.k

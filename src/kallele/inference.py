@@ -639,6 +639,8 @@ def bootstrap(
     """
     config = config or BootstrapConfig()
     _check_level(config.level)
+    if config.workers < 1:
+        raise ValueError(f"bootstrap needs workers >= 1, got {config.workers}")
     if m < 100:
         raise ValueError("bootstrap needs m >= 100 replicates")
     params = MutationParams.symmetric(theta, k)

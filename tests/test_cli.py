@@ -151,6 +151,10 @@ class TestAnalyze:
              "--pool-size", "2000", "--level", "1.5"),
             ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
              "--pool-size", "2000", "--level", "0"),
+            ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
+             "--pool-size", "2000", "--threads", "-3"),
+            ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
+             "--pool-size", "2000", "--threads", "0"),
         ],
     )
     def test_bad_value_is_one_line_exit_2(self, capsys, argv):
@@ -158,6 +162,16 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_posterior_level_rejected_before_sampling(self, capsys):
+        # At the default chain length and pool size, sampling first would take minutes.
+        started = time.perf_counter()
+        code = run_cli("analyze", "--data", "lyme", "--method", "posterior", "--level", "1.5", "--seed", "1")
+        elapsed = time.perf_counter() - started
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert elapsed < 1.0
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit) as err:

@@ -195,6 +195,11 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="m >= 100"):
             bootstrap(5.0, 0.0, 4, 50, seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_requires_a_worker(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            bootstrap(5.0, 0.0, 4, 100, seed=1, config=BootstrapConfig(workers=workers))
+
     def test_null_interval_contains_zero(self):
         cfg = BootstrapConfig(pool_n=30_000)
         res = bootstrap(5.0, 0.0, 4, 300, seed=2, config=cfg)
