@@ -731,8 +731,7 @@ def monotone_ci(
     if not (0.0 < alpha1 and 0.0 < alpha2 and alpha1 + alpha2 <= 1.0):
         raise ValueError("need alpha1 > 0, alpha2 > 0 and alpha1 + alpha2 <= 1")
     s_lo, s_hi = config.sigma_range
-    hv = float(h.value)
-    at = functools.partial(_cdf_logit, pool, cdf_at=hv)
+    at = functools.partial(_cdf_logit, pool, cdf_at=float(h.value))
     end_lo, end_hi = at(s_lo), at(s_hi)
     f_lo, f_hi = end_lo[0], end_hi[0]
     notes: list[str] = []

@@ -332,7 +332,12 @@ class TestMonotoneCi:
         pool = pool_for_sigma_range(MutationParams.symmetric(4.95, 4), 500_000, 7, sigma_lo=-500.0, sigma_hi=2000.0)
         calls = []
         weights = density._weights
-        monkeypatch.setattr(density, "_weights", lambda *a: calls.append(a[2]) or weights(*a))
+
+        def counted(*args):
+            calls.append(args[2])
+            return weights(*args)
+
+        monkeypatch.setattr(density, "_weights", counted)
         iv = monotone_ci(homozygosity(x), pool, 0.025, 0.025)
         assert iv.lower < 0.0 < iv.upper and not iv.notes
         assert len(calls) <= 20
