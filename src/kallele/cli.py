@@ -218,6 +218,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "chain": chain.as_dict(),
             "credible_interval": interval.as_dict(),
             "mode": {"theta": mode[0], "sigma": mode[1]},
+            "pool_passes": chain.pool_passes,
         }
         flags.update(
             {

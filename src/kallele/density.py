@@ -16,10 +16,10 @@ exponentiation: the tilt exp(-sigma * h) spans hundreds of orders of
 magnitude at the intensities this package is asked to explore.  Every
 estimate at a scalar intensity reduces one weight step, ``_weights``.  The
 full pass, ``tilt``, returns the log weight total, the tilted mean of h,
-its derivative in sigma, the effective sample size and, when asked, the CDF
-at one h; callers that read only the log weight total (``_log_z``) or only
-the CDF (``cdf_homozygosity``) reduce the same weights to just that, with
-the same bits.
+its derivative in sigma and the effective sample size; callers that read
+only the log weight total (``_log_z``) reduce the same weights to just
+that, with the same bits, and the CDF (``cdf_homozygosity``) is a weighted
+fraction of the same weights.
 """
 
 from __future__ import annotations
@@ -383,16 +383,13 @@ class Tilt:
     With weights w_i = exp(b_i - sigma h_i): ``log_z`` is log sum w_i (its
     difference from the value at sigma = 0 is the log-normalizer), ``g``
     the weighted mean of h, ``dg`` its derivative in sigma (minus the
-    weighted variance of h), ``ess`` (sum w)^2 / sum w^2, and ``cdf`` the
-    weighted fraction of draws with h at or below the ``cdf_at`` asked for
-    (NaN when not asked).
+    weighted variance of h) and ``ess`` (sum w)^2 / sum w^2.
     """
 
     log_z: float
     g: float
     dg: float
     ess: float
-    cdf: float = math.nan
 
 
 def _weights(base: np.ndarray, stat: np.ndarray, sigma: float) -> tuple[np.ndarray, float, int]:
@@ -422,12 +419,6 @@ def _fraction_below(w_below: float, w_above: float) -> float:
     return 1.0 / (1.0 + w_above / w_below) if w_below > 0.0 else 0.0
 
 
-def _cdf(w: np.ndarray, stat: np.ndarray, cdf_at: float) -> float:
-    """Weighted fraction of draws with stat <= cdf_at, as 1/(1 + W_above/W_below)."""
-    below = stat <= cdf_at
-    return _fraction_below(float(w @ below), float(w @ ~below))
-
-
 def _cdf_logit(pool: WeightedPool, sigma: float, cdf_at: float) -> tuple[float, float, float]:
     """One CDF pass with its slope: F = P(H <= cdf_at), logit F and d(logit F)/d(sigma).
 
@@ -452,12 +443,11 @@ def _cdf_logit(pool: WeightedPool, sigma: float, cdf_at: float) -> tuple[float, 
     return f, -math.log(w_above / w_below), float(w @ above) / w_above - float(w @ below) / w_below
 
 
-def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray, cdf_at: float | None = None) -> Tilt:
-    # Moments are taken about the statistic of the top-weight draw, and the
-    # CDF through the ratio of the weight above to the weight at or below
-    # cdf_at.  Where a curve saturates, its correction term still moves by
-    # many of its own rounding errors per step in sigma, and rounding is
-    # monotone, so g and the CDF stay exactly monotone there as well.
+def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray) -> Tilt:
+    # Moments are taken about the statistic of the top-weight draw.  Where g
+    # saturates, its correction term still moves by many of its own rounding
+    # errors per step in sigma, and rounding is monotone, so g stays exactly
+    # monotone there as well.
     total = float(w.sum())
     d = stat - stat[i_top]
     c = float(w @ d) / total
@@ -467,7 +457,6 @@ def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray, cdf_at: fl
         g=float(stat[i_top]) + c,
         dg=c * c - float(w @ d) / total,
         ess=total * total / float(w @ w),
-        cdf=math.nan if cdf_at is None else _cdf(w, stat, cdf_at),
     )
 
 
@@ -475,6 +464,18 @@ def _log_z(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
     """The ``log_z`` of a full pass, bit for bit, without its moments and ESS."""
     w, top, _ = _weights(base, stat, sigma)
     return top + math.log(float(w.sum()))
+
+
+def _log_z_tangent(base: np.ndarray, s: np.ndarray, h: np.ndarray, sigma: float) -> tuple[float, float, float]:
+    """``_log_z(base, h, sigma)`` bit for bit, with E_w[s] and E_w[h] from the same weights.
+
+    For the surface base at a = theta/k, log Z is convex in (a, sigma) and
+    these means are its gradient (E_w[s], -E_w[h]): the tangent plane they
+    span lies below log Z everywhere.
+    """
+    w, top, _ = _weights(base, h, sigma)
+    total = float(w.sum())
+    return top + math.log(total), float(w @ s) / total, float(w @ h) / total
 
 
 def _surface_base(pool: WeightedPool, a: float) -> np.ndarray:
@@ -500,20 +501,15 @@ def _surface(pool: WeightedPool, a: float, sigma: float) -> tuple[float, np.ndar
     return top + math.log(total / pool.n), mean, wd @ d.T / total - np.outer(c, c), total * total / float(w @ w)
 
 
-def tilt(
-    pool: WeightedPool,
-    sigma: float,
-    b: np.ndarray | None = None,
-    cdf_at: float | None = None,
-) -> Tilt:
+def tilt(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> Tilt:
     """One pass over the pool at selection intensity sigma.
 
     ``b`` replaces the pool's base log-weights (a reweighting to another
-    mutation rate); ``cdf_at`` asks for P(H <= cdf_at) as well.  The pass
-    is pure and allocates its own work arrays, so threads may share the pool.
+    mutation rate).  The pass is pure and allocates its own work arrays, so
+    threads may share the pool.
     """
     base = pool.b if b is None else b
-    return _summary(*_weights(base, pool.h, sigma), pool.h, cdf_at)
+    return _summary(*_weights(base, pool.h, sigma), pool.h)
 
 
 def _selection_stat(pool: WeightedPool, model: SelectionModel) -> tuple[np.ndarray, float]:
@@ -648,9 +644,14 @@ def cdf_homozygosity(
     """P(H <= h) under selection intensity sigma, on a fixed pool.
 
     For fixed h the empirical map sigma -> F is exactly non-decreasing:
-    stronger heterozygote advantage pushes homozygosity down.
+    stronger heterozygote advantage pushes homozygosity down.  F is taken
+    through the ratio of the weight above h to the weight at or below it;
+    where F saturates, that ratio still moves by many of its own rounding
+    errors per step in sigma, so F stays exactly monotone there as well.
     """
-    return _cdf(_weights(pool.b if b is None else b, pool.h, sigma)[0], pool.h, h.value)
+    w = _weights(pool.b if b is None else b, pool.h, sigma)[0]
+    below = pool.h <= h.value
+    return _fraction_below(float(w @ below), float(w @ ~below))
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q) -> np.ndarray:

@@ -41,7 +41,7 @@ from .density import (
     WeightedPool,
     Tilt,
     _cdf_logit,
-    _log_z,
+    _log_z_tangent,
     _surface,
     _surface_base,
     build_mixture_pool,
@@ -91,6 +91,12 @@ DEFAULT_PRIOR_BOUNDS = ((0.0, 50.0), (0.0, 1000.0))
 PROPOSAL_SCALE_FACTOR = 2.0
 # A chain accepting less often than this carries a "proposal-mistuned" note.
 ACCEPTANCE_FLAG = 0.02
+# The posterior chain rejects a proposal without a pool pass when the tangent
+# bound on its log-posterior is below the acceptance threshold by more than
+# this many log-units (rounding in the bound is about 1e-12).  The bound is
+# the lowest of the tangent planes of the last TANGENT_RING full passes.
+TANGENT_MARGIN = 1e-6
+TANGENT_RING = 64
 # The joint MLE's pilot pool: _LADDER_RUNGS concentrations geometric over the
 # theta box plus the defensive ones, with 1/_PILOT_SHARE of pool_n draws; its
 # Newton search starts from theta = _THETA_START, sigma = 0.
@@ -194,7 +200,9 @@ class PosteriorChain:
     """An MCMC trace over (theta, sigma) with full provenance.
 
     ``mode`` is the posterior mode (theta, sigma), found on the chain's own
-    likelihood pool when the chain was sampled.
+    likelihood pool when the chain was sampled.  ``pool_passes`` counts the
+    chain's full likelihood passes, one per proposal the tangent bound could
+    not reject plus one at the start.
     """
 
     thetas: np.ndarray
@@ -211,6 +219,7 @@ class PosteriorChain:
     pool_seed: int
     pool_n: int
     pool_concentrations: tuple[float, ...]
+    pool_passes: int
     notes: tuple[str, ...] = ()
 
     def __len__(self) -> int:
@@ -791,6 +800,10 @@ def posterior_sample(
         raise ValueError(
             f"prior bounds must be ordered lower < upper: theta {tuple(theta_box)}, sigma {tuple(sigma_box)}"
         )
+    if config.theta_fixed is not None and not theta_box[0] < config.theta_fixed <= theta_box[1]:
+        raise ValueError(f"theta_fixed {config.theta_fixed} lies outside the theta prior box {tuple(theta_box)}")
+    if config.burn_in < 0:
+        raise ValueError(f"burn_in must be at least 0, got {config.burn_in}")
     if chain_length <= config.burn_in + 10:
         raise ValueError("chain_length must comfortably exceed burn_in")
     k = x.k
@@ -824,16 +837,33 @@ def posterior_sample(
     scale = PROPOSAL_SCALE_FACTOR * max(pilot_ci.width, 1.0)
     scale = float(np.clip(scale, 5.0, 4.0 * (sigma_box[1] - sigma_box[0])))
 
-    # One likelihood-surface pass per proposal; a fixed-theta chain keeps its sigma = 0 log-weights.
+    # log Z(a, sigma) is a log-sum-exp of functions affine in (a, sigma), so it
+    # is convex, and the tangent plane of every full pass lies below it: the
+    # highest plane in the ring bounds each proposal's log-posterior from
+    # above.  A proposal whose bound cannot reach the acceptance threshold is
+    # one the exact test rejects too, and costs no pass.  A fixed-theta chain
+    # keeps its sigma = 0 log-weights.
     sx = float(np.log(x.as_array()).sum())
+    log_n = math.log(pool.n)
     base: dict[float, np.ndarray] = {}
+    tangents = np.empty((TANGENT_RING, 3))
+    passes = 0
 
     def log_post(theta: float, sigma: float) -> float:
+        nonlocal passes
         a = theta / k
         if theta not in base:
             base.clear()
             base[theta] = _surface_base(pool, a)
-        return (a - 1.0) * sx - sigma * h.value - _log_z(base[theta], pool.h, sigma) + math.log(pool.n)
+        lz, es, eh = _log_z_tangent(base[theta], pool.s, pool.h, sigma)
+        # A row is the plane's (intercept, d/da, d/dsigma).
+        tangents[passes % TANGENT_RING] = (lz - a * es + sigma * eh, es, -eh)
+        passes += 1
+        return (a - 1.0) * sx - sigma * h.value - lz + log_n
+
+    def log_post_bound(theta: float, sigma: float) -> float:
+        a = theta / k
+        return (a - 1.0) * sx - sigma * h.value - float((tangents @ (1.0, a, sigma)).max()) + log_n
 
     rng = derive_rng(seed, 7)
     total = int(chain_length)
@@ -858,6 +888,7 @@ def posterior_sample(
     theta_cur = min(max(theta_pilot, 1e-9), theta_box[1])
     sigma_cur = center
     lp_cur = log_post(theta_cur, sigma_cur)
+    tangents[1:] = tangents[0]
     lq_cur = -abs(sigma_cur - center) / scale
 
     thetas = np.empty(retained)
@@ -866,11 +897,16 @@ def posterior_sample(
     accs = np.zeros(retained, dtype=bool)
     n_accept = 0
     for t in range(total):
-        lp_prop = log_post(float(theta_props[t]), float(sigma_props[t]))
-        accepted = log_u[t] < (lp_prop - lp_cur) - (log_q[t] - lq_cur)
+        theta_t, sigma_t = float(theta_props[t]), float(sigma_props[t])
+        threshold = log_u[t] + lp_cur + (log_q[t] - lq_cur)
+        if log_post_bound(theta_t, sigma_t) < threshold - TANGENT_MARGIN:
+            accepted = False
+        else:
+            lp_prop = log_post(theta_t, sigma_t)
+            accepted = log_u[t] < (lp_prop - lp_cur) - (log_q[t] - lq_cur)
         if accepted:
-            theta_cur = float(theta_props[t])
-            sigma_cur = float(sigma_props[t])
+            theta_cur = theta_t
+            sigma_cur = sigma_t
             lp_cur = lp_prop
             lq_cur = float(log_q[t])
             n_accept += 1
@@ -911,6 +947,7 @@ def posterior_sample(
         pool_seed=pool.seed,
         pool_n=pool.n,
         pool_concentrations=pool.concentrations,
+        pool_passes=passes,
         notes=notes,
     )
 

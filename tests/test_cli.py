@@ -127,7 +127,20 @@ class TestAnalyze:
         assert code == 0
         record = json.loads((tmp_path / "p.json").read_text())
         assert record["outputs"]["posterior"]["chain"]["theta_fixed"] == 6.2
+        # one pass at the start, then at least one per accepted move
+        passes = record["outputs"]["posterior"]["pool_passes"]
+        assert 1 + round(record["outputs"]["posterior"]["chain"]["acceptance_rate"] * 4000) <= passes < 4000
         assert (tmp_path / "chain.csv").exists()
+
+    def test_fixed_theta_outside_prior_box_is_usage_error(self, capsys):
+        started = time.perf_counter()
+        code = run_cli("analyze", "--data", "kir", "--method", "posterior", "--fix-theta", "60", "--seed", "1")
+        elapsed = time.perf_counter() - started
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "prior box" in err
+        assert elapsed < 1.0
 
     def test_bad_data_file_rejected(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"

@@ -25,7 +25,9 @@ from kallele import (
 )
 from kallele.density import (
     _log_z,
+    _log_z_tangent,
     _logsumexp_rows,
+    _surface_base,
     _surface,
     _weights,
     build_mixture_pool,
@@ -261,18 +263,19 @@ class TestGSigma:
 class TestTilt:
     @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1e4])
     def test_matches_unmasked_formulas(self, pool_k4, mixture_pool_k4, sigma):
-        hv = 0.3
+        hv = Homozygosity(value=0.3, k=4)
         for pool in (pool_k4, mixture_pool_k4):
-            t = tilt(pool, sigma, cdf_at=hv)
+            t = tilt(pool, sigma)
             lw = pool.b - sigma * pool.h
             shifted = lw - lw.max()
             lse = logsumexp(shifted)
-            below = pool.h <= hv
+            below = pool.h <= hv.value
             assert t.log_z == pytest.approx(logsumexp(lw), rel=1e-12)
             assert t.g == pytest.approx(math.exp(logsumexp(shifted, b=pool.h) - lse), rel=1e-12)
             assert t.ess == pytest.approx(math.exp(2.0 * lse - logsumexp(2.0 * shifted)), rel=1e-12)
             # weights below 2**-1020 of the largest are dropped by design
-            assert t.cdf == pytest.approx(math.exp(logsumexp(shifted[below]) - lse), rel=1e-12, abs=1e-300)
+            cdf = cdf_homozygosity(pool, sigma, hv)
+            assert cdf == pytest.approx(math.exp(logsumexp(shifted[below]) - lse), rel=1e-12, abs=1e-300)
 
     def test_derivative_is_minus_variance(self, mixture_pool_k4):
         for sigma in (-100.0, 0.0, 35.1, 1600.0):
@@ -286,10 +289,10 @@ class TestTilt:
     def test_exactly_monotone_on_fine_grid(self, pool_k4, mixture_pool_k4):
         # no tolerance: saturated ends included
         grid = np.linspace(-1e4, 1e4, 2000)
+        hv = Homozygosity(value=0.3, k=4)
         for pool in (pool_k4, mixture_pool_k4):
-            passes = [tilt(pool, s, cdf_at=0.3) for s in grid]
-            assert np.all(np.diff([t.g for t in passes]) <= 0.0)
-            assert np.all(np.diff([t.cdf for t in passes]) >= 0.0)
+            assert np.all(np.diff([tilt(pool, s).g for s in grid]) <= 0.0)
+            assert np.all(np.diff([cdf_homozygosity(pool, s, hv) for s in grid]) >= 0.0)
 
     @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1600.0, 1e4])
     def test_lean_passes_equal_full_pass(self, pool_k4, mixture_pool_k4, sigma):
@@ -298,9 +301,12 @@ class TestTilt:
         b_other = mixture_pool_k4.base_log_weights_for(MutationParams.symmetric(7.5, 4))
         for pool, b in ((pool_k4, None), (mixture_pool_k4, None), (mixture_pool_k4, b_other)):
             base = pool.b if b is None else b
-            full = tilt(pool, sigma, b, cdf_at=hv.value)
-            assert _log_z(base, pool.h, sigma) == full.log_z
-            assert cdf_homozygosity(pool, sigma, hv, b) == full.cdf
+            assert _log_z(base, pool.h, sigma) == tilt(pool, sigma, b).log_z
+            w = _weights(base, pool.h, sigma)[0]
+            below = pool.h <= hv.value
+            w_below, w_above = float(w @ below), float(w @ ~below)
+            expected = 1.0 / (1.0 + w_above / w_below) if w_below > 0.0 else 0.0
+            assert cdf_homozygosity(pool, sigma, hv, b) == expected
 
     def test_weights_are_zero_or_normal(self, mixture_pool_k4):
         for sigma in (-1e4, 1600.0, 1e4):
@@ -337,6 +343,21 @@ class TestSurface:
         log_z, _, _, ess = _surface(pool_k4, a, 0.0)
         assert log_z == pytest.approx(4 * gammaln(a) - gammaln(4 * a), rel=1e-12)
         assert ess == pytest.approx(pool_k4.n, rel=1e-12)
+
+    @pytest.mark.parametrize("theta, sigma", [(0.5, -100.0), (4.8, 35.1), (20.0, 1600.0)])
+    def test_tangent_is_the_gradient_and_lies_below(self, mixture_pool_k4, theta, sigma):
+        pool = mixture_pool_k4
+        a = theta / 4
+        base = _surface_base(pool, a)
+        log_z, es, eh = _log_z_tangent(base, pool.s, pool.h, sigma)
+        # no tolerance on log Z: the tangent pass is _log_z with two more reductions
+        assert log_z == _log_z(base, pool.h, sigma)
+        _, mean_t, _, _ = _surface(pool, a, sigma)
+        np.testing.assert_allclose([es, eh], mean_t, rtol=1e-12)
+        # log Z is convex in (a, sigma): the plane stays below it far away too
+        for a2, sigma2 in ((a * 0.1, sigma - 500.0), (a * 3.0, sigma + 2000.0), (a + 1.0, -sigma), (a, sigma + 1.0)):
+            plane = log_z + (a2 - a) * es - (sigma2 - sigma) * eh
+            assert plane <= _log_z(_surface_base(pool, a2), pool.h, sigma2) + 1e-9
 
 
 class TestScoreSigma:

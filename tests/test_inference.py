@@ -476,8 +476,78 @@ class TestPosterior:
             with pytest.raises(ValueError, match="lower < upper"):
                 posterior_sample(parse_frequencies("lyme"), prior_bounds=bounds, chain_length=2000, seed=1)
 
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            posterior_sample(
+                parse_frequencies("lyme"), chain_length=2000, seed=1, config=PosteriorConfig(burn_in=-3)
+            )
+
+    @pytest.mark.parametrize("theta_fixed", [0.0, -1.0, 50.5, 60.0, math.nan])
+    def test_fixed_theta_outside_prior_box_rejected(self, theta_fixed):
+        # the prior box for theta is (0, 50]; its upper end is allowed
+        with pytest.raises(ValueError, match="prior box"):
+            posterior_sample(
+                parse_frequencies("kir"),
+                chain_length=2000,
+                seed=1,
+                config=PosteriorConfig(pool_n=5000, burn_in=500, theta_fixed=theta_fixed),
+            )
+        chain = posterior_sample(
+            parse_frequencies("kir"),
+            chain_length=1600,
+            seed=1,
+            config=PosteriorConfig(pool_n=5000, burn_in=500, theta_fixed=50.0),
+        )
+        assert np.all(chain.thetas == 50.0)
+
     def test_provenance_stamped(self, lyme_chain):
         d = lyme_chain.as_dict()
         assert d["prior_bounds"] == [[0.0, 50.0], [0.0, 1000.0]]
         assert d["proposal_spec"]["sigma"]["kind"] == "laplace"
         assert d["pool"]["n"] == 30_000
+
+
+def _chain_arrays(chain):
+    return (chain.thetas, chain.sigmas, chain.log_posterior, chain.accepted)
+
+
+class TestTangentBound:
+    # A proposal rejected by the tangent bound is one the exact test rejects:
+    # with the margin at infinity every proposal gets its pool pass, and the
+    # chain must come out the same to the last bit.
+    CHAINS = {
+        "lyme joint": ("lyme", None, None),
+        "kir fixed theta": ("kir", None, 6.2),
+        "kir wide box": ("kir", ((0.0, 50.0), (-500.0, 1000.0)), None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_bound_changes_no_bit(self, monkeypatch, name):
+        label, bounds, theta_fixed = self.CHAINS[name]
+
+        def run():
+            cfg = PosteriorConfig(pool_n=20_000, burn_in=300, theta_fixed=theta_fixed)
+            return posterior_sample(parse_frequencies(label), bounds, 1500, 13, cfg)
+
+        bounded = run()
+        monkeypatch.setattr(inference, "TANGENT_MARGIN", math.inf)
+        exact = run()
+        assert exact.pool_passes == 1501
+        assert bounded.pool_passes < exact.pool_passes
+        for a, b in zip(_chain_arrays(bounded), _chain_arrays(exact)):
+            assert a.tobytes() == b.tobytes()
+        assert bounded.acceptance_rate == exact.acceptance_rate
+        assert bounded.mode == exact.mode
+        assert bounded.as_dict() == exact.as_dict()
+        assert posterior_summary(bounded, 0.95) == posterior_summary(exact, 0.95)
+        if name == "kir wide box":
+            assert 0.4 in bounded.pool_concentrations and np.any(bounded.sigmas < 0.0)
+
+    def test_passes_track_accepted_moves(self):
+        # every accepted move needs a pass; few rejected ones should
+        length = 3000
+        chain = posterior_sample(
+            parse_frequencies("lyme"), None, length, 31, PosteriorConfig(pool_n=30_000, burn_in=500)
+        )
+        n_accept = round(chain.acceptance_rate * length)
+        assert n_accept + 1 <= chain.pool_passes <= n_accept + 1 + length // 20
