@@ -93,8 +93,8 @@ PROPOSAL_SCALE_FACTOR = 2.0
 ACCEPTANCE_FLAG = 0.02
 # The posterior chain rejects a proposal without a pool pass when the tangent
 # bound on its log-posterior is below the acceptance threshold by more than
-# this many log-units (rounding in the bound is about 1e-12).  The bound is
-# the lowest of the tangent planes of the last TANGENT_RING full passes.
+# this many log-units (rounding in the bound is about 1e-12).  The bound takes
+# the highest tangent plane of log Z among the last TANGENT_RING full passes.
 TANGENT_MARGIN = 1e-6
 TANGENT_RING = 64
 # The joint MLE's pilot pool: _LADDER_RUNGS concentrations geometric over the

@@ -129,6 +129,7 @@ class TestAnalyze:
         assert record["outputs"]["posterior"]["chain"]["theta_fixed"] == 6.2
         # one pass at the start, then at least one per accepted move
         passes = record["outputs"]["posterior"]["pool_passes"]
+        assert "pool_passes" not in record["outputs"]["posterior"]["chain"]
         assert 1 + round(record["outputs"]["posterior"]["chain"]["acceptance_rate"] * 4000) <= passes < 4000
         assert (tmp_path / "chain.csv").exists()
 

@@ -27,8 +27,8 @@ from kallele.density import (
     _log_z,
     _log_z_tangent,
     _logsumexp_rows,
-    _surface_base,
     _surface,
+    _surface_base,
     _weights,
     build_mixture_pool,
     g_sigma_se,
