@@ -26,9 +26,7 @@ from .core import (
     quadratic_form,
 )
 from .density import (
-    EssReport,
     OptimalComposition,
-    PoolReliabilityWarning,
     WeightedPool,
     build_mixture_pool,
     build_pool,
@@ -40,14 +38,12 @@ from .density import (
     optimal_composition,
     pool_for_sigma_range,
     score_general,
-    score_sigma,
 )
 from .inference import (
     BootstrapConfig,
     BootstrapResult,
     IntervalEstimate,
     JointMleConfig,
-    MleConfig,
     MleResult,
     MonotoneCiConfig,
     PosteriorChain,

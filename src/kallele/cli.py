@@ -312,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FrequencyParseError, StudySchemaError, ValueError, RejectionStarvedError, FileNotFoundError) as exc:
+    except (FrequencyParseError, StudySchemaError, ValueError, RejectionStarvedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -193,11 +193,6 @@ class SelectionModel:
         return cls(mode="symmetric", sigma=float(sigma))
 
     @classmethod
-    def homozygote_advantage(cls, sigma: float) -> "SelectionModel":
-        """Mirror scheme: sigma > 0 here means matrix -sigma * I."""
-        return cls(mode="symmetric", sigma=-float(sigma))
-
-    @classmethod
     def from_matrix(cls, matrix) -> "SelectionModel":
         m = np.asarray(matrix, dtype=np.float64)
         return cls(mode="matrix", matrix=tuple(tuple(float(v) for v in row) for row in m))
@@ -335,12 +330,16 @@ def load_dataset(source: str) -> list[tuple[str, SimplexPoint]]:
         if not isinstance(obj, dict) or "frequencies" not in obj:
             raise FrequencyParseError(f"{source}: expected an object with a 'frequencies' field")
         freqs = obj["frequencies"]
-        if "k" in obj and int(obj["k"]) != len(freqs):
-            raise FrequencyParseError(
-                f"{source}: declared k={obj['k']} but {len(freqs)} frequencies listed"
-            )
+        if not isinstance(freqs, list):
+            raise FrequencyParseError(f"{source}: 'frequencies' must be a list, got {freqs!r}")
+        k = obj.get("k", len(freqs))
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise FrequencyParseError(f"{source}: 'k' must be an integer, got {k!r}")
+        if k != len(freqs):
+            raise FrequencyParseError(f"{source}: declared k={k} but {len(freqs)} frequencies listed")
         label = str(obj.get("label", os.path.basename(source)))
-        point = parse_frequencies(", ".join(repr(float(v)) for v in freqs))
+        # Entries go through the text parser, which rejects any that is not a number.
+        point = parse_frequencies(", ".join(str(v) for v in freqs))
         return [(label, point)]
     out: list[tuple[str, SimplexPoint]] = []
     with open(source) as fh:

@@ -25,7 +25,6 @@ fraction of the same weights.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,7 @@ from .core import (
 __all__ = [
     "WeightedPool",
     "Tilt",
-    "EssReport",
     "OptimalComposition",
-    "PoolReliabilityWarning",
     "neutral_log_density",
     "build_pool",
     "build_mixture_pool",
@@ -57,7 +54,6 @@ __all__ = [
     "log_likelihood",
     "g_sigma",
     "g_sigma_se",
-    "score_sigma",
     "score_general",
     "cdf_homozygosity",
     "optimal_composition",
@@ -88,28 +84,6 @@ _CHUNK = 1 << 14
 # 0.08 ms at -707.  A weight this far below the largest (which is 1) cannot
 # move any sum a pass reports, so lower log-weights get weight 0 instead.
 _LOG_WEIGHT_FLOOR = math.log(2.0**-1020)
-
-
-class PoolReliabilityWarning(UserWarning):
-    """A pool-based estimate fell below its effective-sample-size floor."""
-
-
-@dataclass(frozen=True)
-class EssReport:
-    """Reliability diagnostic for one importance-weighted estimate.
-
-    ``ess`` is (sum w)^2 / sum w^2, between 1 (one draw dominates) and n
-    (uniform weights).
-    """
-
-    ess: float
-    n: int
-    max_weight_fraction: float
-    floor: float = DEFAULT_ESS_FLOOR
-
-    @property
-    def below_floor(self) -> bool:
-        return self.ess < self.floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,14 +130,10 @@ class WeightedPool:
     k: int
     h_min: float
     h_max: float
-    # Per-pool results that every query on the pool shares (support margins).
+    # Per-pool results that queries on the pool share: the support margins
+    # and ``mle_sigma``'s table of bracket-point passes.  Each is a pure
+    # function of the pool, so the memo never changes a result.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def proposal_a(self) -> float:
-        if len(self.concentrations) != 1:
-            raise ValueError("mixture pool has no single proposal concentration")
-        return self.concentrations[0]
 
     def base_log_weights_for(self, theta: MutationParams) -> np.ndarray:
         """Base log-weights targeting another mutation parameter.
@@ -527,28 +497,16 @@ def _log_normalizer(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
     return _log_z(base, stat, sigma) - _log_z(base, stat, 0.0)
 
 
-def log_normalizer(
-    pool: WeightedPool,
-    model: SelectionModel,
-    ess_floor: float = DEFAULT_ESS_FLOOR,
-) -> tuple[float, EssReport]:
-    """Self-normalized estimate of log E[exp(-X' S X)] under the neutral law.
+def log_normalizer(pool: WeightedPool, model: SelectionModel) -> tuple[float, float]:
+    """Self-normalized estimate of log E[exp(-X' S X)] under the neutral law, and its ESS.
 
-    Exactly zero for sigma = 0.  A report below the ESS floor flags the
-    estimate as unreliable without failing.
+    The value is exactly zero for sigma = 0.  The ESS, (sum w)^2 / sum w^2,
+    lies between 1 (one draw dominates) and n (uniform weights); below
+    ``DEFAULT_ESS_FLOOR`` it flags the estimate as unreliable.
     """
     stat, sigma = _selection_stat(pool, model)
-    w, top, i_top = _weights(pool.b, stat, sigma)
-    t = _summary(w, top, i_top, stat)
-    value = t.log_z - _log_z(pool.b, stat, 0.0)
-    total = math.exp(t.log_z - top)
-    report = EssReport(
-        ess=min(max(t.ess, 1.0), float(pool.n)),
-        n=pool.n,
-        max_weight_fraction=1.0 / total,
-        floor=ess_floor,
-    )
-    return value, report
+    t = _summary(*_weights(pool.b, stat, sigma), stat)
+    return t.log_z - _log_z(pool.b, stat, 0.0), min(max(t.ess, 1.0), float(pool.n))
 
 
 def log_normalizer_se(pool: WeightedPool, model: SelectionModel) -> float:
@@ -578,26 +536,15 @@ def log_likelihood(
     return -quadratic_form(x, model) - lz + neutral_log_density(x, theta)
 
 
-def g_sigma(
-    pool: WeightedPool,
-    sigma: float,
-    b: np.ndarray | None = None,
-    ess_floor: float | None = None,
-) -> float:
+def g_sigma(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> float:
     """Mean homozygosity under selection intensity sigma, on a fixed pool.
 
     For a fixed pool this empirical curve is exactly non-increasing in
-    sigma: its derivative is minus a weighted variance.  Pass ``ess_floor``
-    to opt into a reliability warning at extreme intensities.
+    sigma: its derivative is minus a weighted variance.  Minus g is the
+    derivative of the log-normalizer, so g(sigma) - h is the score of the
+    log-likelihood in sigma.
     """
-    t = tilt(pool, sigma, b)
-    if ess_floor is not None and t.ess < ess_floor:
-        warnings.warn(
-            f"g_sigma at sigma={sigma:g}: ESS {t.ess:.1f} below floor {ess_floor:g}",
-            PoolReliabilityWarning,
-            stacklevel=2,
-        )
-    return t.g
+    return tilt(pool, sigma, b).g
 
 
 def g_sigma_se(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> float:
@@ -606,16 +553,6 @@ def g_sigma_se(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) ->
     w /= w.sum()
     d = w * (pool.h - float(w @ pool.h))
     return float(np.sqrt(d @ d))
-
-
-def score_sigma(
-    h: Homozygosity,
-    pool: WeightedPool,
-    sigma: float,
-    b: np.ndarray | None = None,
-) -> float:
-    """Derivative of the log-likelihood in sigma: -h + E[H | sigma]."""
-    return -h.value + g_sigma(pool, sigma, b=b)
 
 
 def score_general(x: SimplexPoint, pool: WeightedPool, model: SelectionModel) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -55,7 +56,6 @@ __all__ = [
     "IntervalEstimate",
     "BootstrapResult",
     "PosteriorChain",
-    "MleConfig",
     "JointMleConfig",
     "BootstrapConfig",
     "MonotoneCiConfig",
@@ -73,6 +73,19 @@ STATUS_CONVERGED = "converged"
 STATUS_UNBOUNDED_ABOVE = "unbounded_above"
 STATUS_UNBOUNDED_BELOW = "unbounded_below"
 STATUS_OUTSIDE_POOL_RANGE = "outside_pool_range"
+
+# The conditional MLE's solve walks its bracket out from +/-BRACKET_INIT,
+# gives up beyond +/-SIGMA_CAP (status outside_pool_range) and stops when its
+# Newton step or its bracket is below BRACKET_TOL.  The joint MLE searches
+# sigma in +/-SIGMA_CAP and stops on steps below BRACKET_TOL too.
+BRACKET_TOL = 1e-6
+SIGMA_CAP = 1e5
+BRACKET_INIT = 64.0
+# An exact CI endpoint's Newton solve stops within this of its root.
+CI_TOL = 1e-6
+# Draws of the joint MLE that re-estimates theta in each replicate of a
+# joint_refit bootstrap.
+JOINT_REFIT_POOL_N = 20_000
 
 # Data within the h-range of the pool's MIN_SUPPORT most extreme draws is
 # classified unbounded: an estimate hanging on a handful of draws is the
@@ -118,7 +131,7 @@ class MleResult:
     are the empirical image of the likelihood singularity: the observed
     homozygosity sits at the pool's floor/ceiling and no finite intensity
     matches it.  ``outside_pool_range`` means a root exists but beyond the
-    configured search cap.
+    search cap ``SIGMA_CAP``.
     """
 
     sigma_hat: float
@@ -226,13 +239,13 @@ class PosteriorChain:
         return self.sigmas.size
 
     def to_csv(self, path: str) -> None:
+        # tolist() gives Python floats, whose repr is the plain shortest
+        # round-trip decimal; a NumPy 2 scalar's repr reads np.float64(...).
+        rows = zip(self.thetas.tolist(), self.sigmas.tolist(), self.log_posterior.tolist(), self.accepted.tolist())
         with open(path, "w") as fh:
             fh.write("iteration,theta,sigma,log_posterior,accepted\n")
-            for i in range(len(self)):
-                fh.write(
-                    f"{i},{self.thetas[i]!r},{self.sigmas[i]!r},"
-                    f"{self.log_posterior[i]!r},{int(self.accepted[i])}\n"
-                )
+            for i, (theta, sigma, lp, accepted) in enumerate(rows):
+                fh.write(f"{i},{theta!r},{sigma!r},{lp!r},{int(accepted)}\n")
 
     def as_dict(self) -> dict:
         return {
@@ -253,14 +266,6 @@ class PosteriorChain:
 
 
 @dataclass(frozen=True)
-class MleConfig:
-    # The solve stops when its Newton step or its bracket is below this.
-    bracket_tol: float = 1e-6
-    sigma_cap: float = 1e5
-    bracket_init: float = 64.0
-
-
-@dataclass(frozen=True)
 class JointMleConfig:
     theta_bounds: tuple[float, float] = (0.1, 50.0)
     pool_n: int = 100_000
@@ -273,13 +278,11 @@ class BootstrapConfig:
     joint_refit: bool = False
     workers: int = 1
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    joint: JointMleConfig = field(default_factory=lambda: JointMleConfig(pool_n=20_000))
 
 
 @dataclass(frozen=True)
 class MonotoneCiConfig:
     sigma_range: tuple[float, float] = (-500.0, 2000.0)
-    tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -292,15 +295,18 @@ class PosteriorConfig:
 class GSigmaTable:
     """Memo of the pool passes at the bracket points, shared by every solve on a pool.
 
-    ``mle_sigma`` brackets its root on the points 0 and +/-bracket_init * 2^j
+    ``mle_sigma`` brackets its root on the points 0 and +/-BRACKET_INIT * 2^j
     (j >= -6); those points are the same for every solve on one pool, so
-    only the first solves pay for them.  Passes are made lazily, on first
-    use.  Results are identical with and without the memo; threads may
-    share it.
+    each solve on the pool's own base weights takes them from the table in
+    the pool's memo, and only the first solves pay for them.  Passes are
+    made lazily, on first use.  Results are identical with and without the
+    memo; threads may share it.
     """
 
     def __init__(self, pool: WeightedPool):
-        self.pool = pool
+        # A weak reference: the table lives in the pool's memo, and a strong
+        # one would keep a dead pool's arrays until the cyclic collector runs.
+        self.pool = weakref.proxy(pool)
         self.passes: dict[float, Tilt] = {}
 
     def at(self, sigma: float) -> Tilt:
@@ -346,28 +352,22 @@ def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> 
     return sigma, t, lo, hi
 
 
-def mle_sigma(
-    h: Homozygosity,
-    pool: WeightedPool,
-    config: MleConfig | None = None,
-    table: GSigmaTable | None = None,
-    b: np.ndarray | None = None,
-) -> MleResult:
+def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) -> MleResult:
     """Conditional MLE of the selection intensity given the mutation rate.
 
-    Solves g(sigma) = h on the exactly monotone empirical g.  A walk over
-    the points 0 and +/-bracket_init * 2^j brackets the root within one
-    octave (or between 0 and bracket_init / 64); pass ``table`` to share
-    those passes between solves on one pool.  Newton steps (g' comes from
-    the same pass) then run inside the bracket from an inverse Hermite
-    interpolation of its ends, with bisection whenever a step leaves the
-    bracket or fails to halve the step two before.  The solve stops when a
-    Newton step or the bracket is below ``bracket_tol``; the returned
-    bracket keeps a certified sign change, and the score and ESS come from
-    the last pass.  Statuses replace exceptions; callers must branch on
-    ``status``.
+    Solves g(sigma) = h on the exactly monotone empirical g; ``b`` replaces
+    the pool's base log-weights (a reweighting to another mutation rate).
+    A walk over the points 0 and +/-BRACKET_INIT * 2^j brackets the root
+    within one octave (or between 0 and BRACKET_INIT / 64); with ``b`` left
+    out, those passes come from the pool's ``GSigmaTable``, which every
+    such solve on the pool shares.  Newton steps (g' comes from the same
+    pass) then run inside the bracket from an inverse Hermite interpolation
+    of its ends, with bisection whenever a step leaves the bracket or fails
+    to halve the step two before.  The solve stops when a Newton step or
+    the bracket is below BRACKET_TOL; the returned bracket keeps a
+    certified sign change, and the score and ESS come from the last pass.
+    Statuses replace exceptions; callers must branch on ``status``.
     """
-    config = config or MleConfig()
     hv = float(h.value)
     margin_lo, margin_hi = pool.support_margin(MIN_SUPPORT)
     if hv <= pool.h_min + margin_lo:
@@ -376,7 +376,7 @@ def mle_sigma(
             theta_hat=None,
             status=STATUS_UNBOUNDED_ABOVE,
             score_at_solution=math.nan,
-            bracket=(config.sigma_cap, math.inf),
+            bracket=(SIGMA_CAP, math.inf),
             ess_at_solution=math.nan,
             notes=(f"h={hv:.6g} at or below pool floor {pool.h_min:.6g}+{margin_lo:.2g}",),
         )
@@ -386,16 +386,17 @@ def mle_sigma(
             theta_hat=None,
             status=STATUS_UNBOUNDED_BELOW,
             score_at_solution=math.nan,
-            bracket=(-math.inf, -config.sigma_cap),
+            bracket=(-math.inf, -SIGMA_CAP),
             ess_at_solution=math.nan,
             notes=(f"h={hv:.6g} at or above pool ceiling {pool.h_max:.6g}-{margin_hi:.2g}",),
         )
-    if table is None:
-        at = functools.partial(tilt, pool, b=b)
-    elif table.pool is pool and b is None:
+    if b is None:
+        table = pool._memo.get("g_sigma_table")
+        if table is None:
+            table = pool._memo.setdefault("g_sigma_table", GSigmaTable(pool))
         at = table.at
     else:
-        raise ValueError("table was built for another pool or for the pool's own base weights")
+        at = functools.partial(tilt, pool, b=b)
 
     def outside(cap: float, note: str) -> MleResult:
         t = tilt(pool, cap, b)
@@ -410,25 +411,25 @@ def mle_sigma(
         )
 
     # Bracket walk, outward by doubling: throughout, g(lo) >= hv >= g(hi).
-    lo, hi = -config.bracket_init, config.bracket_init
+    lo, hi = -BRACKET_INIT, BRACKET_INIT
     t_lo, t_hi = at(lo), at(hi)
     while t_lo.g < hv:
         hi, t_hi = lo, t_lo
         lo *= 2.0
-        if lo < -config.sigma_cap:
-            return outside(-config.sigma_cap, "below-cap")
+        if lo < -SIGMA_CAP:
+            return outside(-SIGMA_CAP, "below-cap")
         t_lo = at(lo)
     while t_hi.g > hv:
         lo, t_lo = hi, t_hi
         hi *= 2.0
-        if hi > config.sigma_cap:
-            return outside(config.sigma_cap, "above-cap")
+        if hi > SIGMA_CAP:
+            return outside(SIGMA_CAP, "above-cap")
         t_hi = at(hi)
     if lo < 0.0 < hi:
-        # The root lies within +/-bracket_init: split at 0, then halve toward
+        # The root lies within +/-BRACKET_INIT: split at 0, then halve toward
         # 0 (six times at most) while the root stays on 0's side.
         t_0 = at(0.0)
-        near = config.bracket_init / 64.0
+        near = BRACKET_INIT / 64.0
         if t_0.g >= hv:
             lo, t_lo = 0.0, t_0
             while hi > near:
@@ -464,7 +465,7 @@ def mle_sigma(
 
     # Safeguarded Newton from there.
     sigma, t, lo, hi = _newton(
-        lambda s: tilt(pool, s, b), lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, config.bracket_tol
+        lambda s: tilt(pool, s, b), lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL
     )
 
     if t.ess < DEFAULT_ESS_FLOOR:
@@ -511,12 +512,12 @@ def _maximize_surface(
     and Hessian -Cov_w(T) for T = (s, -h) from one ``_surface`` pass.  Safeguarded
     Newton: a coordinate at a bound whose gradient points outward is held there; the
     others step, projected onto the box and halved until the surface does not
-    decrease, until a step moves theta and sigma by less than ``bracket_tol``.
+    decrease, until a step moves theta and sigma by less than BRACKET_TOL.
     """
     k = x.k
     tx = np.array([np.log(x.as_array()).sum(), -homozygosity(x).value])
     lo, hi = np.array([theta_box, sigma_box]).T / [k, 1.0]
-    tol = MleConfig().bracket_tol / np.array([k, 1.0])
+    tol = BRACKET_TOL / np.array([k, 1.0])
     flip = np.array([1.0, -1.0])
 
     def evaluate(eta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -561,7 +562,7 @@ def mle_joint(
     k = x.k
     h = homozygosity(x)
     theta_box = config.theta_bounds
-    sigma_box = (-MleConfig().sigma_cap, MleConfig().sigma_cap)
+    sigma_box = (-SIGMA_CAP, SIGMA_CAP)
     rungs = tuple(float(a) for a in np.geomspace(*theta_box, _LADDER_RUNGS) / k)
     pilot = _profile_pool(MutationParams.symmetric(_THETA_START, k), rungs, seed, max(config.pool_n // _PILOT_SHARE, 1))
     margin_lo, margin_hi = pilot.support_margin(MIN_SUPPORT)
@@ -575,7 +576,7 @@ def mle_joint(
     theta_hat, _ = _maximize_surface(pool, x, (theta, sigma), theta_box, sigma_box)
     inner = mle_sigma(h, pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta_hat, k)))
     notes = inner.notes
-    if min(theta_hat - theta_box[0], theta_box[1] - theta_hat) < MleConfig().bracket_tol:
+    if min(theta_hat - theta_box[0], theta_box[1] - theta_hat) < BRACKET_TOL:
         notes = notes + ("theta-at-bound: outer optimum sits at a search bound",)
     return replace(inner, theta_hat=theta_hat, notes=notes)
 
@@ -601,30 +602,16 @@ def _quantile_with_inf(sorted_vals: np.ndarray, q: float) -> float:
     return a + frac * (b_ - a)
 
 
-def _replicate_mles(
-    h_values: np.ndarray,
-    k: int,
-    pool: WeightedPool,
-    mle_config: MleConfig,
-    table: GSigmaTable,
-    workers: int = 1,
-) -> list[MleResult]:
+def _replicate_mles(h_values: np.ndarray, k: int, pool: WeightedPool, workers: int = 1) -> list[MleResult]:
     def solve(hv: float) -> MleResult:
-        return mle_sigma(Homozygosity(value=float(hv), k=k), pool, mle_config, table)
+        return mle_sigma(Homozygosity(value=float(hv), k=k), pool)
 
     if workers <= 1:
         return [solve(hv) for hv in h_values]
-    # Replicates are independent tasks against a shared immutable pool;
-    # results are keyed by index, so the reduction is worker-count-free.
-    chunks = np.array_split(np.arange(h_values.size), workers * 4)
-    out: list[list[MleResult]] = [None] * len(chunks)  # type: ignore[list-item]
-
-    def run_chunk(ci: int) -> None:
-        out[ci] = [solve(h_values[j]) for j in chunks[ci]]
-
+    # Replicates are independent tasks against a shared immutable pool, and
+    # map returns them in order, so the results are worker-count-free.
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        list(ex.map(run_chunk, range(len(chunks))))
-    return [r for chunk in out for r in chunk]
+        return list(ex.map(solve, h_values))
 
 
 def bootstrap(
@@ -658,22 +645,11 @@ def bootstrap(
     h_values = np.einsum("ij,ij->i", draws, draws)
 
     if config.joint_refit:
-        joint_cfg = config.joint
-        estimates = []
-        for j, row in enumerate(draws):
-            point = SimplexPoint(row)
-            estimates.append(mle_joint(point, _subseed(seed, 3, j), joint_cfg))
+        joint_cfg = JointMleConfig(pool_n=JOINT_REFIT_POOL_N)
+        estimates = [mle_joint(SimplexPoint(row), _subseed(seed, 3, j), joint_cfg) for j, row in enumerate(draws)]
     else:
-        mle_config = MleConfig()
-        pool = pool_for_sigma_range(
-            params,
-            config.pool_n,
-            _subseed(seed, 1),
-            sigma_lo=-mle_config.sigma_cap,
-            sigma_hi=mle_config.sigma_cap,
-        )
-        table = GSigmaTable(pool)
-        estimates = _replicate_mles(h_values, k, pool, mle_config, table, config.workers)
+        pool = pool_for_sigma_range(params, config.pool_n, _subseed(seed, 1), sigma_lo=-SIGMA_CAP, sigma_hi=SIGMA_CAP)
+        estimates = _replicate_mles(h_values, k, pool, config.workers)
 
     vals = np.array(
         [
@@ -730,7 +706,7 @@ def monotone_ci(
     monotone empirical CDF.  Each endpoint is a safeguarded Newton solve
     (``mle_sigma``'s) on logit F, whose slope comes with F from one pass,
     inside the search range and from its own end of it; it stops within
-    ``tol`` of the root.  The search range includes negative intensities;
+    CI_TOL of the root.  The search range includes negative intensities;
     an endpoint pinned at a range bound carries a widen-range advisory
     note.
     """
@@ -753,11 +729,11 @@ def monotone_ci(
             notes.append(f"{label}-endpoint-at-range-bound: F({s_hi:g})={f_hi:.4g} < {target:g}; widen sigma_range")
             return s_hi
         goal = math.log(target / (1.0 - target))
-        return _newton(at, lambda p: (goal - p[1], -p[2]), start, t, s_lo, s_hi, config.tol)[0]
+        return _newton(at, lambda p: (goal - p[1], -p[2]), start, t, s_lo, s_hi, CI_TOL)[0]
 
     # Each solve starts from its own end of the range, where logit F is
-    # close to linear in sigma.  Both land within tol of their roots, which
-    # are ordered, so a crossing (equal targets, say) is below tol.
+    # close to linear in sigma.  Both land within CI_TOL of their roots,
+    # which are ordered, so a crossing (equal targets, say) is below CI_TOL.
     lower = solve(alpha1, "lower", s_lo, end_lo)
     upper = max(solve(1.0 - alpha2, "upper", s_hi, end_hi), lower)
     return IntervalEstimate(

@@ -51,14 +51,18 @@ MH_FLAG_ACCEPTANCE = 0.05
 TUNING_POOL_SIZE = 20_000
 # Clip of the moment-matched symmetric proposal concentration.
 PROPOSAL_CONCENTRATION_RANGE = (0.05, 1e4)
+# Rejection sampling's budget: once it has made MAX_REJECTION_PROPOSALS
+# proposals without n accepted draws, it gives up if its acceptance rate is
+# below MIN_ACCEPTANCE or if, at that rate, finishing would take more than
+# another MAX_REJECTION_PROPOSALS.
+MAX_REJECTION_PROPOSALS = 10_000_000
+MIN_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     sigma_switch: float = 50.0
     force_method: str | None = None
-    max_rejection_proposals: int = 10_000_000
-    min_acceptance: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,13 +88,7 @@ def sample_neutral(theta: MutationParams, n: int, seed: int) -> list[SimplexPoin
     return [SimplexPoint(row) for row in x]
 
 
-def _rejection_arrays(
-    theta: MutationParams,
-    sigma: float,
-    n: int,
-    seed: int,
-    config: SamplerConfig,
-) -> tuple[np.ndarray, SamplerReport]:
+def _rejection_arrays(theta: MutationParams, sigma: float, n: int, seed: int) -> tuple[np.ndarray, SamplerReport]:
     k = theta.k
     alphas = theta.alphas()
     h_opt = 1.0 / k if sigma >= 0.0 else 1.0
@@ -109,12 +107,10 @@ def _rejection_arrays(
         n_acc += int(keep.sum())
         n_prop += batch
         block += 1
-        if n_prop >= config.max_rejection_proposals and n_acc < n:
-            # Past the budget, give up when the rate is hopeless or when, at
-            # the observed rate, finishing would take more than another budget.
+        if n_prop >= MAX_REJECTION_PROPOSALS and n_acc < n:
             rate = n_acc / n_prop
             needed = (n - n_acc) / rate if rate > 0.0 else math.inf
-            if rate < config.min_acceptance or needed > config.max_rejection_proposals:
+            if rate < MIN_ACCEPTANCE or needed > MAX_REJECTION_PROPOSALS:
                 raise RejectionStarvedError(
                     f"rejection acceptance rate {rate:.2e} after {n_prop} proposals "
                     f"(sigma={sigma:g}, k={k}) would need about {needed:.3g} more for n={n}; "
@@ -324,7 +320,7 @@ def _selection_arrays(
     if config.force_method == "rejection":
         if model.mode != "symmetric":
             raise ValueError("rejection sampling requires the scalar overdominance model")
-        return _rejection_arrays(theta, float(model.sigma), n, seed, config)
+        return _rejection_arrays(theta, float(model.sigma), n, seed)
     if config.force_method == "independence-mh":
         return _mh_arrays(theta, model, n, seed)
     if model.mode != "symmetric":
@@ -332,7 +328,7 @@ def _selection_arrays(
     sigma = float(model.sigma)
     switch = config.sigma_switch if sigma >= 0.0 else SIGMA_SWITCH_NEGATIVE
     if abs(sigma) <= switch:
-        return _rejection_arrays(theta, sigma, n, seed, config)
+        return _rejection_arrays(theta, sigma, n, seed)
     return _mh_arrays(theta, model, n, seed)
 
 

@@ -25,8 +25,6 @@ from .density import (
 )
 from .inference import (
     BootstrapConfig,
-    GSigmaTable,
-    MleConfig,
     PosteriorConfig,
     bootstrap,
     mle_sigma,
@@ -94,13 +92,7 @@ class StudySpec:
         )
 
 
-def mle_curve(
-    k: int,
-    theta: float,
-    h_grid: list[float],
-    pool: WeightedPool,
-    config: MleConfig | None = None,
-) -> list[dict]:
+def mle_curve(k: int, theta: float, h_grid: list[float], pool: WeightedPool) -> list[dict]:
     """The conditional MLE as a function of observed homozygosity.
 
     On a shared pool the emitted curve is non-increasing in h, diverging as
@@ -111,11 +103,9 @@ def mle_curve(
         raise ValueError(f"h grid points at or below 1/k={1.0 / k:.6g}: {bad}")
     if list(h_grid) != sorted(h_grid):
         raise ValueError("h grid must be sorted ascending")
-    config = config or MleConfig()
-    table = GSigmaTable(pool)
     rows = []
     for hv in h_grid:
-        res = mle_sigma(Homozygosity(value=float(hv), k=k), pool, config, table)
+        res = mle_sigma(Homozygosity(value=float(hv), k=k), pool)
         rows.append({"h": float(hv), "sigma_hat": res.sigma_hat, "status": res.status})
     return rows
 

@@ -150,6 +150,24 @@ class TestAnalyze:
         assert code == 2
         assert "deviating" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"frequencies": 5}, "must be a list"),
+            ({"k": None, "frequencies": [0.5, 0.5]}, "must be an integer"),
+            ({"k": "2", "frequencies": [0.5, 0.5]}, "must be an integer"),
+            ({"frequencies": [0.5, None]}, "not a number"),
+        ],
+    )
+    def test_malformed_json_dataset_is_usage_error(self, tmp_path, capsys, payload, message):
+        data = tmp_path / "bad.json"
+        data.write_text(json.dumps(payload))
+        code = run_cli("analyze", "--data", str(data), "--method", "mle")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_reversed_prior_box_is_usage_error(self, capsys):
         code = run_cli("analyze", "--data", "lyme", "--method", "posterior",
                        "--prior-sigma", "10", "0", "--seed", "1")
@@ -271,6 +289,23 @@ class TestErrorMapping:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: rejection acceptance rate") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--k", "4", "--theta", "4.8", "--n", "10", "--seed", "1", "--out", "{dir}"),
+            ("study", "{dir}"),
+            ("analyze", "--data", "lyme", "--method", "monotone-ci", "--fix-theta", "4.8",
+             "--pool-size", "2000", "--seed", "1", "--out", "{dir}"),
+        ],
+    )
+    def test_directory_path_is_one_line_exit_2(self, tmp_path, capsys, argv):
+        code = run_cli(*(a.format(dir=tmp_path) for a in argv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
 
 
 class TestEnvOverrides:

@@ -134,10 +134,6 @@ class TestSelectionModel:
         m = SelectionModel.overdominance(3.0).matrix_array(4)
         assert np.allclose(m, 3.0 * np.eye(4))
 
-    def test_homozygote_advantage_sign(self):
-        m = SelectionModel.homozygote_advantage(3.0).matrix_array(4)
-        assert np.allclose(m, -3.0 * np.eye(4))
-
 
 class TestMutationParams:
     def test_symmetric_expansion(self):

@@ -8,7 +8,6 @@ from kallele import (
     Homozygosity,
     IntervalEstimate,
     JointMleConfig,
-    MleConfig,
     MonotoneCiConfig,
     MutationParams,
     PosteriorConfig,
@@ -26,7 +25,6 @@ from kallele import density, inference
 from kallele.density import build_mixture_pool, cdf_homozygosity, g_sigma, pool_for_sigma_range
 from kallele.inference import (
     BootstrapConfig,
-    GSigmaTable,
     _quantile_with_inf,
     _selection_arrays,
 )
@@ -73,22 +71,22 @@ class TestMleSigma:
         res = mle_sigma(Homozygosity(0.25, 4), pool_k4)
         assert res.status == "unbounded_above"
 
-    def test_outside_pool_range_with_tiny_cap(self, mixture_pool_k4):
-        cfg = MleConfig(sigma_cap=10.0, bracket_init=4.0)
-        res = mle_sigma(Homozygosity(0.27, 4), mixture_pool_k4, cfg)
+    def test_outside_pool_range_with_tiny_cap(self, mixture_pool_k4, monkeypatch):
+        monkeypatch.setattr(inference, "SIGMA_CAP", 10.0)
+        monkeypatch.setattr(inference, "BRACKET_INIT", 4.0)
+        res = mle_sigma(Homozygosity(0.27, 4), mixture_pool_k4)
         assert res.status == "outside_pool_range"
         assert "above-cap" in res.notes
 
     def test_warm_table_matches_cold(self, mixture_pool_k4):
-        table = GSigmaTable(mixture_pool_k4)
         for hv in (0.28, 0.33, 0.45):
             h = Homozygosity(hv, 4)
-            cold = mle_sigma(h, mixture_pool_k4)
-            warm = mle_sigma(h, mixture_pool_k4, table=table)
+            # passing the pool's own base weights bypasses the pool's memo
+            cold = mle_sigma(h, mixture_pool_k4, b=mixture_pool_k4.b)
+            warm = mle_sigma(h, mixture_pool_k4)
             # the memo replays the same passes, so the solves are identical
-            assert warm.sigma_hat == cold.sigma_hat
-            assert warm.bracket == cold.bracket
-            assert warm.status == cold.status
+            assert warm == cold
+        assert mixture_pool_k4._memo["g_sigma_table"].passes
 
     def test_matches_brentq_root(self):
         # The bootstrap's Lyme setting, where the far replicates sit at
@@ -98,20 +96,16 @@ class TestMleSigma:
         pool = pool_for_sigma_range(theta, 100_000, 11, sigma_lo=-1e5, sigma_hi=1e5)
         draws, _ = _selection_arrays(theta, 35.1, 400, 5, SamplerConfig())
         hs = np.sort(np.einsum("ij,ij->i", draws, draws))
-        cfg = MleConfig()
+        cap = inference.SIGMA_CAP
         far = 0
         for hv in np.concatenate([hs[:6], hs[6::20]]):
-            res = mle_sigma(Homozygosity(float(hv), 4), pool, cfg)
+            res = mle_sigma(Homozygosity(float(hv), 4), pool)
             if not res.converged:
                 continue
-            root = brentq(lambda s: g_sigma(pool, s) - hv, -cfg.sigma_cap, cfg.sigma_cap, xtol=1e-10)
-            assert abs(res.sigma_hat - root) <= 2 * cfg.bracket_tol, (hv, res.sigma_hat, root)
+            root = brentq(lambda s: g_sigma(pool, s) - hv, -cap, cap, xtol=1e-10)
+            assert abs(res.sigma_hat - root) <= 2 * inference.BRACKET_TOL, (hv, res.sigma_hat, root)
             far += res.sigma_hat > 1000.0
         assert far >= 1
-
-    def test_table_for_another_pool_rejected(self, pool_k4, mixture_pool_k4):
-        with pytest.raises(ValueError, match="another pool"):
-            mle_sigma(Homozygosity(0.3, 4), pool_k4, table=GSigmaTable(mixture_pool_k4))
 
     def test_monotone_in_data(self, mixture_pool_k4):
         hs = np.linspace(0.265, 0.6, 20)
@@ -160,7 +154,7 @@ class TestMleJoint:
         theta, sigma = inference._maximize_surface(pool, x, (5.0, 0.0), (0.1, 50.0), (-1e5, 1e5))
         res = mle_sigma(homozygosity(x), pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta, 8)))
         assert res.converged
-        assert abs(sigma - res.sigma_hat) <= MleConfig().bracket_tol
+        assert abs(sigma - res.sigma_hat) <= inference.BRACKET_TOL
         assert 5.0 < theta < 7.5
 
     def test_fixed_coordinate_stays_fixed(self):
@@ -240,12 +234,9 @@ class TestBootstrap:
         )
         assert statuses  # at least ran
 
-    def test_joint_refit_smoke(self):
-        cfg = BootstrapConfig(
-            pool_n=10_000,
-            joint_refit=True,
-            joint=JointMleConfig(pool_n=5_000),
-        )
+    def test_joint_refit_smoke(self, monkeypatch):
+        monkeypatch.setattr(inference, "JOINT_REFIT_POOL_N", 5_000)
+        cfg = BootstrapConfig(pool_n=10_000, joint_refit=True)
         res = bootstrap(4.8, 35.1, 4, 100, seed=6, config=cfg)
         assert all(e.theta_hat is not None for e in res.estimates if e.converged)
 
@@ -278,9 +269,10 @@ class TestMonotoneCi:
         with pytest.raises(ValueError):
             monotone_ci(h, pool_k4, 0.6, 0.6)
 
-    def test_degenerate_alphas_collapse_to_median_match(self, mixture_pool_k4):
+    def test_degenerate_alphas_collapse_to_median_match(self, mixture_pool_k4, monkeypatch):
+        monkeypatch.setattr(inference, "CI_TOL", 1e-8)
         h = Homozygosity(0.3, 4)
-        iv = monotone_ci(h, mixture_pool_k4, 0.5, 0.5, MonotoneCiConfig(tol=1e-8))
+        iv = monotone_ci(h, mixture_pool_k4, 0.5, 0.5)
         assert iv.upper - iv.lower < 1e-6
         assert iv.level == pytest.approx(0.0)
 
@@ -315,7 +307,7 @@ class TestMonotoneCi:
 
         def bisect(target):
             lo, hi = cfg.sigma_range
-            while hi - lo > cfg.tol:
+            while hi - lo > inference.CI_TOL:
                 mid = 0.5 * (lo + hi)
                 if cdf_homozygosity(pool, mid, h) < target:
                     lo = mid
@@ -323,8 +315,8 @@ class TestMonotoneCi:
                     hi = mid
             return 0.5 * (lo + hi)
 
-        assert abs(iv.lower - bisect(alphas[0])) <= 2 * cfg.tol
-        assert abs(iv.upper - bisect(1.0 - alphas[1])) <= 2 * cfg.tol
+        assert abs(iv.lower - bisect(alphas[0])) <= 2 * inference.CI_TOL
+        assert abs(iv.upper - bisect(1.0 - alphas[1])) <= 2 * inference.CI_TOL
 
     def test_few_passes_per_interval(self, monkeypatch):
         # Bisection from (-500, 2000) to tol = 1e-6 makes 2 + 2 x 32 = 66 passes.
@@ -460,6 +452,12 @@ class TestPosterior:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "iteration,theta,sigma,log_posterior,accepted"
         assert len(lines) == len(lyme_chain) + 1
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], np.arange(len(lyme_chain)))
+        np.testing.assert_array_equal(table[:, 1], lyme_chain.thetas)
+        np.testing.assert_array_equal(table[:, 2], lyme_chain.sigmas)
+        np.testing.assert_array_equal(table[:, 3], lyme_chain.log_posterior)
+        np.testing.assert_array_equal(table[:, 4], lyme_chain.accepted)
 
     def test_proper_prior_required(self):
         with pytest.raises(ValueError, match="proper"):

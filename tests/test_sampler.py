@@ -12,6 +12,7 @@ from kallele import (
     sample_neutral,
     sample_selection,
 )
+from kallele import sampler
 from kallele.density import g_sigma, g_sigma_se, pool_for_sigma_range
 from kallele.sampler import _selection_arrays, write_samples_jsonl
 
@@ -116,20 +117,21 @@ class TestSampleSelection:
         _, r4 = sample_selection(theta, -10.1, 200, seed=1)
         assert r4.method == "independence-mh"
 
-    def test_rejection_starvation_aborts(self):
+    def test_rejection_starvation_aborts(self, monkeypatch):
+        monkeypatch.setattr(sampler, "MAX_REJECTION_PROPOSALS", 200_000)
+        monkeypatch.setattr(sampler, "MIN_ACCEPTANCE", 1e-3)
         theta = MutationParams.symmetric(5.0, 10)
-        cfg = SamplerConfig(
-            force_method="rejection", max_rejection_proposals=200_000, min_acceptance=1e-3
-        )
+        cfg = SamplerConfig(force_method="rejection")
         with pytest.raises(RejectionStarvedError, match="acceptance rate"):
             sample_selection(theta, -40.0, 100, seed=3, config=cfg)
 
-    def test_rejection_that_cannot_finish_stops_early(self):
-        # acceptance about 0.10, far above min_acceptance: after the first
+    def test_rejection_that_cannot_finish_stops_early(self, monkeypatch):
+        # acceptance about 0.10, far above MIN_ACCEPTANCE: after the first
         # batch (40k proposals, past the 10k budget) the 16k draws still
         # missing need some 160k more proposals
+        monkeypatch.setattr(sampler, "MAX_REJECTION_PROPOSALS", 10_000)
         theta = MutationParams.symmetric(4.8, 4)
-        cfg = SamplerConfig(force_method="rejection", max_rejection_proposals=10_000)
+        cfg = SamplerConfig(force_method="rejection")
         with pytest.raises(RejectionStarvedError, match="acceptance rate .* would need about"):
             sample_selection(theta, 35.1, 20_000, seed=3, config=cfg)
 

@@ -10,10 +10,12 @@ Each line is ``<sha256>  <output>``.  Floats are hashed through their
 exact bits (``repr`` in records, raw bytes in arrays), so any change in any
 output, down to the last bit, changes its line.  Outputs: ``simulate``
 JSON lines on the four sampler routes, ``bootstrap`` records at three
-generators, the CSV of a ``sampling_dist`` study, the joint MLE, the exact CI
-and the CI pool's arrays on both bundled datasets, and a joint (theta, sigma)
-chain and a fixed-theta chain with their summaries.  Wall time on a 2-vCPU
-Xeon: about 7 s.
+generators and the first again on two threads, the CSVs of a
+``sampling_dist`` and an ``mle_curve`` study, the log-normalizer and the
+log-likelihood under an overdominance and a general-matrix model, the joint
+MLE, the exact CI and the CI pool's arrays on both bundled datasets, and a
+joint (theta, sigma) chain and a fixed-theta chain with their summaries.
+Wall time on a 2-vCPU Xeon: about 6 s.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import tempfile
 
 import numpy as np
 
-from kallele import MutationParams, homozygosity, parse_frequencies
+from kallele import MutationParams, SelectionModel, homozygosity, parse_frequencies
 from kallele import inference
-from kallele.density import pool_for_sigma_range
+from kallele.density import build_mixture_pool, log_likelihood, log_normalizer, pool_for_sigma_range
 from kallele.sampler import SamplerConfig, sample_neutral, sample_selection, write_samples_jsonl
 from kallele.study import StudySpec, run_study
 
@@ -74,6 +76,9 @@ def bootstrap() -> None:
         res = inference.bootstrap(theta, sigma, k, 200, 23, inference.BootstrapConfig(pool_n=100_000, sampler=sampler))
         records = [repr(e) for e in res.estimates]
         _show(f"bootstrap theta={theta} sigma={sigma} k={k}", records, repr(res.as_dict()))
+    # The first generator again, its replicates solved on two threads.
+    res = inference.bootstrap(4.8, 35.1, 4, 200, 23, inference.BootstrapConfig(pool_n=100_000, workers=2))
+    _show("bootstrap theta=4.8 sigma=35.1 k=4 workers=2", [repr(e) for e in res.estimates], repr(res.as_dict()))
 
 
 def study(tmp: str) -> None:
@@ -81,6 +86,23 @@ def study(tmp: str) -> None:
     outputs = run_study(StudySpec(kind="sampling_dist", parameters=params, seed=23, out=tmp))
     with open(outputs["table"], "rb") as fh:
         _show("study sampling_dist", fh.read())
+    params = {"k": 4, "theta": 4.8, "grid_points": 40, "pool_n": 100_000}
+    outputs = run_study(StudySpec(kind="mle_curve", parameters=params, seed=23, out=tmp))
+    with open(outputs["table"], "rb") as fh:
+        _show("study mle_curve", fh.read())
+
+
+def likelihood() -> None:
+    # A pool with its draws kept, so the general-matrix model can be evaluated;
+    # the log-likelihood is also taken at a theta the pool was not built for.
+    theta = MutationParams.symmetric(4.8, 4)
+    pool = build_mixture_pool(theta, (1.2, 0.4, 2.0, 8.0), 100_000, 31)
+    matrix = 35.1 * np.eye(4) + 2.0 * (np.ones((4, 4)) - np.eye(4))
+    x = parse_frequencies("lyme")
+    for label, model in (("overdominance", SelectionModel.overdominance(35.1)), ("matrix", SelectionModel.from_matrix(matrix))):
+        values = [repr(log_normalizer(pool, model)[0])]
+        values += [repr(log_likelihood(x, MutationParams.symmetric(t, 4), model, pool)) for t in (4.8, 6.0)]
+        _show(f"log_normalizer and log_likelihood {label}", values)
 
 
 def mle_and_ci() -> None:
@@ -109,6 +131,7 @@ def main() -> int:
     bootstrap()
     with tempfile.TemporaryDirectory() as tmp:
         study(tmp)
+    likelihood()
     mle_and_ci()
     posterior()
     return 0
