@@ -14,6 +14,7 @@ successful completions: they are printed verbatim and exit 0.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -59,6 +60,22 @@ def _data_fingerprint(label: str, values: tuple[float, ...]) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def _check_writable(*paths: str) -> None:
+    """Raise now, not after the work, the OSError that writing a path would raise.
+
+    A directory, or a parent directory that is missing or not writable,
+    fails; no path is opened, so an existing file is not truncated early.
+    """
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _write_record(path: str, record: dict) -> None:
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -80,6 +97,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
         return 2
+    _check_writable(args.out, args.out + ".run.json")
     seed = _resolve_seed(args.seed)
     theta = MutationParams.symmetric(args.theta, args.k)
     if args.sigma == 0.0:
@@ -130,6 +148,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.method in ("bootstrap", "posterior"):
         # Before any pilot fit or chain: a bad level would only surface after them.
         _check_level(args.level)
+    if args.out:
+        _check_writable(args.out)
     label, point = _load_single_dataset(args.data)
     h = homozygosity(point)
     k = point.k
@@ -247,6 +267,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     started = time.time()
+    if args.out:
+        _check_writable(args.out)
     spec = StudySpec.from_json(args.spec)
     outputs = run_study(spec)
     print(f"study[{spec.kind}]: " + ", ".join(f"{k}={v}" for k, v in outputs.items()))

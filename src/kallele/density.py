@@ -145,17 +145,9 @@ class WeightedPool:
             return self.b
         if theta.k != self.k:
             raise ValueError(f"pool has k={self.k}, target has k={theta.k}")
-        if theta.mode == "symmetric":
-            a = theta.total / theta.k
-            # A Python float: a NumPy-scalar constant makes the array
-            # arithmetic below markedly slower.
-            const = float(gammaln(theta.total) - theta.k * gammaln(a))
-            return const + (a - 1.0) * self.s - self.proposal_log_density
-        if self.draws is None:
+        if theta.mode != "symmetric" and self.draws is None:
             raise ValueError("general per-allele reweighting requires a pool built with keep_draws=True")
-        alphas = theta.alphas()
-        const = gammaln(alphas.sum()) - gammaln(alphas).sum()
-        return const + np.log(self.draws) @ (alphas - 1.0) - self.proposal_log_density
+        return _base_log_weights(theta, self.s, self.draws, self.proposal_log_density)
 
     def support_margin(self, min_support: int = 10) -> tuple[float, float]:
         """Width of the pool's lowest/highest ``min_support`` homozygosities.
@@ -173,6 +165,22 @@ class WeightedPool:
 
 def _dirichlet_logconst(alphas: np.ndarray) -> float:
     return float(gammaln(alphas.sum()) - gammaln(alphas).sum())
+
+
+def _base_log_weights(theta: MutationParams, s: np.ndarray, draws: np.ndarray | None, pld: np.ndarray) -> np.ndarray:
+    """log(neutral density / proposal density) at each draw, for the target ``theta``.
+
+    Symmetric targets need only the log-frequency sums ``s``; general
+    per-allele targets need the draws.
+    """
+    if theta.mode == "symmetric":
+        a = theta.total / theta.k
+        # A Python float: a NumPy-scalar constant makes the array
+        # arithmetic below markedly slower.
+        const = float(gammaln(theta.total) - theta.k * gammaln(a))
+        return const + (a - 1.0) * s - pld
+    alphas = theta.alphas()
+    return _dirichlet_logconst(alphas) + np.log(draws) @ (alphas - 1.0) - pld
 
 
 def neutral_log_density(x: SimplexPoint, theta: MutationParams) -> float:
@@ -237,31 +245,20 @@ def _build(
         blocks.append(x)
     h = np.concatenate(hs)
     s = np.concatenate(ss)
-    draws = np.concatenate(blocks) if keep_draws else None
+    # The general-target base weights read the draws even when the pool keeps none.
+    draws = np.concatenate(blocks) if keep_draws or theta.mode != "symmetric" else None
 
-    if m == 1:
-        a = float(concentrations[0])
-        pld = _dirichlet_logconst(np.full(k, a)) + (a - 1.0) * s
-    else:
-        # Components left without draws (n below their number) have mixture weight 0.
-        drawn = [(float(a), count) for a, count in zip(concentrations, counts) if count]
-        parts = np.empty((len(drawn), n), dtype=np.float64)
-        for ci, (a, count) in enumerate(drawn):
-            parts[ci] = math.log(count / n) + _dirichlet_logconst(np.full(k, a)) + (a - 1.0) * s
-        pld = _logsumexp_rows(parts)
+    # Components left without draws (n below their number) have mixture weight 0.
+    drawn = [(float(a), count) for a, count in zip(concentrations, counts) if count]
+    parts = np.empty((len(drawn), n), dtype=np.float64)
+    for ci, (a, count) in enumerate(drawn):
+        parts[ci] = math.log(count / n) + _dirichlet_logconst(np.full(k, a)) + (a - 1.0) * s
+    pld = _logsumexp_rows(parts)
 
-    symmetric_match = (
-        m == 1 and theta.mode == "symmetric" and concentrations[0] == theta.total / theta.k
-    )
-    if symmetric_match:
+    if m == 1 and theta.mode == "symmetric" and concentrations[0] == theta.total / theta.k:
         b = np.zeros(n, dtype=np.float64)
-    elif theta.mode == "symmetric":
-        a_t = theta.total / theta.k
-        b = gammaln(theta.total) - k * gammaln(a_t) + (a_t - 1.0) * s - pld
     else:
-        alphas = theta.alphas()
-        logx = np.log(np.concatenate(blocks)) if draws is None else np.log(draws)
-        b = _dirichlet_logconst(alphas) + logx @ (alphas - 1.0) - pld
+        b = _base_log_weights(theta, s, draws, pld)
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite base log-weight in pool construction")
 
@@ -270,7 +267,7 @@ def _build(
         s=s,
         b=b,
         proposal_log_density=pld,
-        draws=draws,
+        draws=draws if keep_draws else None,
         theta=theta,
         concentrations=tuple(float(a) for a in concentrations),
         component_counts=tuple(counts),

@@ -74,8 +74,9 @@ STATUS_UNBOUNDED_ABOVE = "unbounded_above"
 STATUS_UNBOUNDED_BELOW = "unbounded_below"
 STATUS_OUTSIDE_POOL_RANGE = "outside_pool_range"
 
-# The conditional MLE's solve walks its bracket out from +/-BRACKET_INIT,
-# gives up beyond +/-SIGMA_CAP (status outside_pool_range) and stops when its
+# The conditional MLE's solve bisects for its bracket over 0 and
+# +/-BRACKET_INIT * 2^j (j >= -6), gives up beyond the last of those points
+# within +/-SIGMA_CAP (status outside_pool_range) and stops when its
 # Newton step or its bracket is below BRACKET_TOL.  The joint MLE searches
 # sigma in +/-SIGMA_CAP and stops on steps below BRACKET_TOL too.
 BRACKET_TOL = 1e-6
@@ -295,12 +296,13 @@ class PosteriorConfig:
 class GSigmaTable:
     """Memo of the pool passes at the bracket points, shared by every solve on a pool.
 
-    ``mle_sigma`` brackets its root on the points 0 and +/-BRACKET_INIT * 2^j
-    (j >= -6); those points are the same for every solve on one pool, so
-    each solve on the pool's own base weights takes them from the table in
-    the pool's memo, and only the first solves pay for them.  Passes are
-    made lazily, on first use.  Results are identical with and without the
-    memo; threads may share it.
+    ``mle_sigma`` bisects for its bracket over the points 0 and
+    +/-BRACKET_INIT * 2^j (j >= -6) within +/-SIGMA_CAP; those points are
+    the same for every solve on one pool, so each solve on the pool's own
+    base weights takes its passes there from the table in the pool's memo,
+    and only the first solves pay for them.  Passes are made lazily, on
+    first use.  Results are identical with and without the memo; threads
+    may share it.
     """
 
     def __init__(self, pool: WeightedPool):
@@ -357,16 +359,20 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) 
 
     Solves g(sigma) = h on the exactly monotone empirical g; ``b`` replaces
     the pool's base log-weights (a reweighting to another mutation rate).
-    A walk over the points 0 and +/-BRACKET_INIT * 2^j brackets the root
-    within one octave (or between 0 and BRACKET_INIT / 64); with ``b`` left
-    out, those passes come from the pool's ``GSigmaTable``, which every
-    such solve on the pool shares.  Newton steps (g' comes from the same
-    pass) then run inside the bracket from an inverse Hermite interpolation
-    of its ends, with bisection whenever a step leaves the bracket or fails
-    to halve the step two before.  The solve stops when a Newton step or
-    the bracket is below BRACKET_TOL; the returned bracket keeps a
-    certified sign change, and the score and ESS come from the last pass.
-    Statuses replace exceptions; callers must branch on ``status``.
+    One bisection over the ascending points 0 and +/-BRACKET_INIT * 2^j
+    (j >= -6) within +/-SIGMA_CAP finds adjacent points with
+    g(lo) >= h > g(hi), so the bracket is one octave (or 0 and
+    BRACKET_INIT / 64) and a point where g equals h is its lower end; a
+    root past either end is reported as outside the pool's range.  With
+    ``b`` left out, the passes at those points come from the pool's
+    ``GSigmaTable``, which every such solve on the pool shares.  Newton
+    steps (g' comes from the same pass) then run inside the bracket from an
+    inverse Hermite interpolation of its ends, with bisection whenever a
+    step leaves the bracket or fails to halve the step two before.  The
+    solve stops when a Newton step or the bracket is below BRACKET_TOL; the
+    returned bracket keeps a certified sign change, and the score and ESS
+    come from the last pass.  Statuses replace exceptions; callers must
+    branch on ``status``.
     """
     hv = float(h.value)
     margin_lo, margin_hi = pool.support_margin(MIN_SUPPORT)
@@ -410,42 +416,26 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) 
             notes=(note,),
         )
 
-    # Bracket walk, outward by doubling: throughout, g(lo) >= hv >= g(hi).
-    lo, hi = -BRACKET_INIT, BRACKET_INIT
-    t_lo, t_hi = at(lo), at(hi)
-    while t_lo.g < hv:
-        hi, t_hi = lo, t_lo
-        lo *= 2.0
-        if lo < -SIGMA_CAP:
-            return outside(-SIGMA_CAP, "below-cap")
-        t_lo = at(lo)
-    while t_hi.g > hv:
-        lo, t_lo = hi, t_hi
-        hi *= 2.0
-        if hi > SIGMA_CAP:
-            return outside(SIGMA_CAP, "above-cap")
-        t_hi = at(hi)
-    if lo < 0.0 < hi:
-        # The root lies within +/-BRACKET_INIT: split at 0, then halve toward
-        # 0 (six times at most) while the root stays on 0's side.
-        t_0 = at(0.0)
-        near = BRACKET_INIT / 64.0
-        if t_0.g >= hv:
-            lo, t_lo = 0.0, t_0
-            while hi > near:
-                t_mid = at(0.5 * hi)
-                if t_mid.g >= hv:
-                    lo, t_lo = 0.5 * hi, t_mid
-                    break
-                hi, t_hi = 0.5 * hi, t_mid
+    # The points are built here, not once, because they follow the constants.
+    ladder = []
+    point = BRACKET_INIT / 64.0
+    while point <= SIGMA_CAP:
+        ladder.append(point)
+        point *= 2.0
+    points = [-p for p in reversed(ladder)] + [0.0] + ladder
+    i, j = -1, len(points)
+    while j - i > 1:
+        mid = (i + j) // 2
+        t = at(points[mid])
+        if t.g >= hv:
+            i, t_lo = mid, t
         else:
-            hi, t_hi = 0.0, t_0
-            while lo < -near:
-                t_mid = at(0.5 * lo)
-                if t_mid.g < hv:
-                    hi, t_hi = 0.5 * lo, t_mid
-                    break
-                lo, t_lo = 0.5 * lo, t_mid
+            j, t_hi = mid, t
+    if i < 0:
+        return outside(-SIGMA_CAP, "below-cap")
+    if j == len(points):
+        return outside(SIGMA_CAP, "above-cap")
+    lo, hi = points[i], points[j]
 
     # First iterate: inverse cubic Hermite interpolation of sigma(g) through
     # the bracket ends, whose slopes come with their passes; the secant

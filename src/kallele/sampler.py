@@ -7,8 +7,11 @@ routes:
   exp(-sigma * (h - h_opt)) where h_opt is 1/k for heterozygote advantage
   and 1 for homozygote advantage (the envelope touches at the composition
   of strongest signal);
-* an independence Metropolis-Hastings chain with a moment-matched symmetric
-  Dirichlet proposal, for intensities where rejection starves.
+* an independence Metropolis-Hastings chain, for intensities where
+  rejection starves.  Its proposal is a uniform mixture of Dirichlet rows:
+  one moment-matched symmetric row for heterozygote advantage, the k
+  neutral rows with one coordinate boosted (moment-matched too) for
+  homozygote advantage, and the one neutral row for a general matrix.
 
 The rejection acceptance rate is the neutral expectation of the envelope,
 which collapses much faster on the homozygote-advantage side (typical
@@ -23,9 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .core import MutationParams, SelectionModel, SimplexPoint, _dirichlet, derive_rng
-from .density import g_sigma, pool_for_sigma_range
+from .density import _logsumexp_rows, g_sigma, pool_for_sigma_range
 
 __all__ = [
     "SamplerConfig",
@@ -202,50 +206,34 @@ def _mh_arrays(
         m = model.matrix_array(k)
         return -np.einsum("ij,jl,il->i", x, m, x)
 
+    # The proposal is a uniform mixture of Dirichlet(rows[r]).  Up to a
+    # constant, its log-density over the neutral law's is the log-sum-exp
+    # over r of log(x) @ deltas[r] + consts[r], with deltas = rows - alphas.
     if model.mode == "symmetric" and sigma < 0.0:
-        # Homozygote advantage: near-vertex target, served by a uniform
-        # mixture of one-coordinate-boosted neutral Dirichlets.  The
-        # unboosted exponents match the target's, so the score is just the
-        # tilt minus the boost mixture term.
+        # Homozygote advantage: near-vertex target, served by the mixture
+        # of the k one-coordinate-boosted neutral Dirichlets.  consts are
+        # their log-normalizers over the neutral one's, less a shared term.
         boost = _matched_vertex_boost(theta, sigma, seed)
-        kind = "vertex-mixture"
-        a_prop = boost
-        from scipy.special import gammaln, logsumexp
-
-        d_const = gammaln(alphas) - gammaln(alphas + boost)  # per-vertex constant
-
-        def draw_block(size: int, rng: np.random.Generator) -> np.ndarray:
-            which = rng.integers(k, size=size)
-            al = np.tile(alphas, (size, 1))
-            al[np.arange(size), which] += boost
-            return _dirichlet(al, size, rng)
-
-        def scores(x: np.ndarray) -> np.ndarray:
-            return tilt(x) - logsumexp(boost * np.log(x) + d_const, axis=1)
-
-    elif model.mode == "symmetric":
-        a_prop = _matched_concentration(theta, sigma, seed)
-        kind = "symmetric-dirichlet"
-        prop_alphas = np.full(k, a_prop)
-        exponent = alphas - prop_alphas
-
-        def draw_block(size: int, rng: np.random.Generator) -> np.ndarray:
-            return _dirichlet(prop_alphas, size, rng)
-
-        def scores(x: np.ndarray) -> np.ndarray:
-            return tilt(x) + np.log(x) @ exponent
-
+        kind, a_prop = "vertex-mixture", boost
+        deltas = boost * np.eye(k)
+        rows, consts = alphas + deltas, gammaln(alphas) - gammaln(alphas + boost)
     else:
-        # No tight envelope or moment match for a general matrix; propose
-        # from the neutral law so the score reduces to the quadratic form.
-        a_prop = None
-        kind = "neutral"
+        if model.mode == "symmetric":
+            a_prop = _matched_concentration(theta, sigma, seed)
+            kind, rows = "symmetric-dirichlet", np.full((1, k), a_prop)
+        else:
+            # No tight envelope or moment match for a general matrix; propose
+            # from the neutral law so the score reduces to the quadratic form.
+            a_prop, kind, rows = None, "neutral", alphas[None, :]
+        deltas, consts = rows - alphas, np.zeros(1)
 
-        def draw_block(size: int, rng: np.random.Generator) -> np.ndarray:
-            return _dirichlet(alphas, size, rng)
+    def draw_block(size: int, rng: np.random.Generator) -> np.ndarray:
+        if len(rows) == 1:
+            return _dirichlet(rows[0], size, rng)
+        return _dirichlet(rows[rng.integers(len(rows), size=size)], size, rng)
 
-        def scores(x: np.ndarray) -> np.ndarray:
-            return tilt(x)
+    def scores(x: np.ndarray) -> np.ndarray:
+        return tilt(x) - _logsumexp_rows((np.log(x) @ deltas.T + consts).T)
 
     # Initialize from the proposal: an independence chain started where the
     # proposal density is negligible (e.g. a neutral draw against a tight

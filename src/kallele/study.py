@@ -18,13 +18,14 @@ import numpy as np
 from .core import Homozygosity, MutationParams, SimplexPoint, parse_frequencies
 from .density import (
     WeightedPool,
+    _fraction_below,
     _weights,
-    cdf_homozygosity,
     pool_for_sigma_range,
     weighted_quantile,
 )
 from .inference import (
     BootstrapConfig,
+    BootstrapResult,
     PosteriorConfig,
     bootstrap,
     mle_sigma,
@@ -172,6 +173,8 @@ def cdf_panel(
     hist_rows, summary_rows = [], []
     for sigma in sigma_values:
         w = _weights(pool.b, pool.h, float(sigma))[0]
+        below = pool.h <= h.value
+        f_at_h = _fraction_below(float(w @ below), float(w @ ~below))
         w /= w.sum()
         mass, _ = np.histogram(pool.h, bins=edges, weights=w)
         for j in range(bins):
@@ -189,7 +192,7 @@ def cdf_panel(
                 "sigma": float(sigma),
                 "q025": float(q025),
                 "q975": float(q975),
-                "F_at_h": cdf_homozygosity(pool, float(sigma), h),
+                "F_at_h": f_at_h,
             }
         )
     return hist_rows, summary_rows
@@ -200,6 +203,14 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns) + "\n")
+
+
+def _write_replicates(out: str, name: str, result: BootstrapResult) -> str:
+    """Write a bootstrap's replicate estimates as a replicate,sigma_hat,status table."""
+    rows = [{"replicate": i, "sigma_hat": r.sigma_hat, "status": r.status} for i, r in enumerate(result.estimates)]
+    path = os.path.join(out, name)
+    _write_csv(path, rows, ["replicate", "sigma_hat", "status"])
+    return path
 
 
 def _require(params: dict, names: list[str], kind: str) -> None:
@@ -275,13 +286,7 @@ def run_study(spec: StudySpec) -> dict:
             spec.seed,
             BootstrapConfig(pool_n=int(num("pool_n", 100_000))),
         )
-        rows = [
-            {"replicate": i, "sigma_hat": r.sigma_hat, "status": r.status}
-            for i, r in enumerate(result.estimates)
-        ]
-        path = os.path.join(spec.out, "sampling_dist.csv")
-        _write_csv(path, rows, ["replicate", "sigma_hat", "status"])
-        outputs["table"] = path
+        outputs["table"] = _write_replicates(spec.out, "sampling_dist.csv", result)
 
     elif spec.kind == "bootstrap_hist":
         _require(p, ["k", "theta", "sigma", "m"], spec.kind)
@@ -289,13 +294,7 @@ def run_study(spec: StudySpec) -> dict:
         result = bootstrap(
             float(num("theta")), float(num("sigma")), int(num("k")), int(num("m")), spec.seed, cfg
         )
-        rows = [
-            {"replicate": i, "sigma_hat": r.sigma_hat, "status": r.status}
-            for i, r in enumerate(result.estimates)
-        ]
-        path = os.path.join(spec.out, "bootstrap_hist.csv")
-        _write_csv(path, rows, ["replicate", "sigma_hat", "status"])
-        outputs["table"] = path
+        outputs["table"] = _write_replicates(spec.out, "bootstrap_hist.csv", result)
         summary_path = os.path.join(spec.out, "bootstrap_summary.json")
         with open(summary_path, "w") as fh:
             json.dump(result.as_dict(), fh, indent=2, sort_keys=True)

@@ -308,6 +308,33 @@ class TestErrorMapping:
         assert "Is a directory" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--k", "4", "--theta", "4.8", "--sigma", "35.1", "--n", "10", "--seed", "1",
+             "--out", "{out}"),
+            ("analyze", "--data", "lyme", "--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1",
+             "--m", "200", "--pool-size", "2000", "--seed", "1", "--out", "{out}"),
+            ("study", "{spec}", "--out", "{out}"),
+        ],
+    )
+    def test_missing_out_parent_fails_before_the_work(self, tmp_path, monkeypatch, capsys, argv):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        for name in ("bootstrap", "sample_selection", "run_study"):
+            monkeypatch.setattr(kallele.cli, name, not_reached)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "mle_curve", "parameters": {"k": 4, "theta": 4.8},
+                                    "seed": 1, "out": str(tmp_path / "study")}))
+        out = tmp_path / "missing" / "out.json"
+        code = run_cli(*(a.format(out=out, spec=spec) for a in argv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and str(out.parent) in err
+
+
 class TestEnvOverrides:
     def test_pool_size_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KALLELE_POOL_SIZE", "8000")

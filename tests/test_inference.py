@@ -107,6 +107,17 @@ class TestMleSigma:
             far += res.sigma_hat > 1000.0
         assert far >= 1
 
+    @pytest.mark.parametrize("s", [-0.5, 0.5, 3000.0])
+    def test_cold_bracket_takes_few_passes(self, s):
+        # The bracket is one bisection over the 35 points 0 and +/-64 * 2^j
+        # (j >= -6) within the cap: a cold solve passes at no more than 6
+        # of them, near 0 and far out alike.
+        pool = pool_for_sigma_range(MutationParams.symmetric(4.8, 4), 100_000, 3, sigma_lo=-1e5, sigma_hi=1e5)
+        res = mle_sigma(Homozygosity(g_sigma(pool, s), 4), pool)
+        assert res.converged
+        assert abs(res.sigma_hat - s) <= 2 * inference.BRACKET_TOL
+        assert len(pool._memo["g_sigma_table"].passes) <= 6
+
     def test_monotone_in_data(self, mixture_pool_k4):
         hs = np.linspace(0.265, 0.6, 20)
         sigmas = [mle_sigma(Homozygosity(float(hv), 4), mixture_pool_k4).sigma_hat for hv in hs]

@@ -17,6 +17,7 @@ from kallele import (
     parse_frequencies,
     run_study,
 )
+from kallele import density, study
 from kallele.density import cdf_homozygosity, pool_for_sigma_range
 
 
@@ -124,6 +125,25 @@ class TestCdfPanel:
         got = np.asarray([r["mass"] for r in hist])
         assert np.allclose(got, ref, atol=1e-12)
 
+
+    def test_one_weight_pass_per_sigma(self, curve_pool, monkeypatch):
+        # F at h comes from the weights the panel histograms, with
+        # cdf_homozygosity's bits, not from a second pass.
+        calls = []
+        real = density._weights
+
+        def counting(base, stat, sigma):
+            calls.append(sigma)
+            return real(base, stat, sigma)
+
+        monkeypatch.setattr(density, "_weights", counting)
+        monkeypatch.setattr(study, "_weights", counting)
+        h = Homozygosity(0.3, 4)
+        sigmas = [-20.0, 0.0, 35.1, 300.0]
+        _, summary = cdf_panel(h, curve_pool, sigmas)
+        assert calls == sigmas
+        monkeypatch.undo()
+        assert [r["F_at_h"] for r in summary] == [cdf_homozygosity(curve_pool, s, h) for s in sigmas]
 
 class TestRunStudy:
     def test_mle_curve_study(self, tmp_path):

@@ -9,13 +9,18 @@ Run it in two checkouts and compare the output::
 Each line is ``<sha256>  <output>``.  Floats are hashed through their
 exact bits (``repr`` in records, raw bytes in arrays), so any change in any
 output, down to the last bit, changes its line.  Outputs: ``simulate``
-JSON lines on the four sampler routes, ``bootstrap`` records at three
-generators and the first again on two threads, the CSVs of a
-``sampling_dist`` and an ``mle_curve`` study, the log-normalizer and the
-log-likelihood under an overdominance and a general-matrix model, the joint
-MLE, the exact CI and the CI pool's arrays on both bundled datasets, and a
-joint (theta, sigma) chain and a fixed-theta chain with their summaries.
-Wall time on a 2-vCPU Xeon: about 6 s.
+JSON lines on the four sampler routes and ``sample_selection`` under a
+general matrix (the MH route with the neutral proposal), ``bootstrap``
+records at three generators and the first again on two threads, cold and
+warm ``mle_sigma`` solves on a fresh mixture pool from beyond one cap to
+beyond the other and at both unbounded fringes, the CSVs of a
+``sampling_dist``, a ``bootstrap_hist``, an ``mle_curve`` and a
+``cdf_panel`` study, single-component pools' base log-weights and proposal
+log-densities, the log-normalizer and the log-likelihood under an
+overdominance and a general-matrix model, the joint MLE, the exact CI and
+the CI pool's arrays on both bundled datasets, and a joint (theta, sigma)
+chain and a fixed-theta chain with their summaries.  Wall time on a 2-vCPU
+Xeon: about 8 s.
 """
 
 from __future__ import annotations
@@ -28,9 +33,16 @@ import tempfile
 
 import numpy as np
 
-from kallele import MutationParams, SelectionModel, homozygosity, parse_frequencies
+from kallele import Homozygosity, MutationParams, SelectionModel, homozygosity, parse_frequencies
 from kallele import inference
-from kallele.density import build_mixture_pool, log_likelihood, log_normalizer, pool_for_sigma_range
+from kallele.density import (
+    build_mixture_pool,
+    build_pool,
+    g_sigma,
+    log_likelihood,
+    log_normalizer,
+    pool_for_sigma_range,
+)
 from kallele.sampler import SamplerConfig, sample_neutral, sample_selection, write_samples_jsonl
 from kallele.study import StudySpec, run_study
 
@@ -65,6 +77,12 @@ def simulate(tmp: str) -> None:
         write_samples_jsonl(points, path)
         with open(path, "rb") as fh:
             _show(f"simulate {label}", fh.read(), None if report is None else repr(report))
+    matrix = 35.1 * np.eye(4) + 2.0 * (np.ones((4, 4)) - np.eye(4))
+    points, report = sample_selection(theta, SelectionModel.from_matrix(matrix), 2000, 17)
+    path = os.path.join(tmp, "mh-neutral.jsonl")
+    write_samples_jsonl(points, path)
+    with open(path, "rb") as fh:
+        _show("sample_selection from_matrix", fh.read(), repr(report))
 
 
 def bootstrap() -> None:
@@ -81,6 +99,33 @@ def bootstrap() -> None:
     _show("bootstrap theta=4.8 sigma=35.1 k=4 workers=2", [repr(e) for e in res.estimates], repr(res.as_dict()))
 
 
+def mle_sigma() -> None:
+    # On k = 2 a 100k pool is dense enough at its floor for roots past the
+    # cap to lie outside the unbounded fringe.  Each h is solved cold (the
+    # pool's own base weights passed, which bypasses its pass memo) and warm.
+    pool = build_mixture_pool(MutationParams.symmetric(1.0, 2), (0.5, 0.2, 2.0, 8.0), 100_000, 37, keep_draws=False)
+    cases = [(f"root {s:g}", g_sigma(pool, s)) for s in (-2e5, -300.0, -0.5, 0.5, 20.0, 3000.0, 2e5)]
+    for label, hv in cases + [("floor", pool.h_min), ("ceiling", pool.h_max)]:
+        h = Homozygosity(float(hv), 2)
+        cold = inference.mle_sigma(h, pool, b=pool.b)
+        warm = inference.mle_sigma(h, pool)
+        _show(f"mle_sigma {label}", repr(cold), repr(warm))
+
+
+def pools() -> None:
+    # Single-component pools: at a = theta/k (base log-weights exactly 0),
+    # at another a, and for a general per-allele target with its draws
+    # dropped; plus reweighting to a symmetric and a general target.
+    sym = MutationParams.symmetric(4.8, 4)
+    general = MutationParams(mode="general", thetas=(0.8, 1.6, 1.2, 1.2))
+    for label, theta, a, keep in (("a=theta/k", sym, None, True), ("a=2", sym, 2.0, True), ("general", general, 1.0, False)):
+        pool = build_pool(theta, a, 50_000, 41, keep_draws=keep)
+        parts = [pool.b, pool.proposal_log_density]
+        if keep:
+            parts += [pool.base_log_weights_for(MutationParams.symmetric(6.0, 4)), pool.base_log_weights_for(general)]
+        _show(f"build_pool {label}", *parts)
+
+
 def study(tmp: str) -> None:
     params = {"k": 4, "theta": 4.8, "sigma": 35.1, "n_datasets": 200, "pool_n": 100_000}
     outputs = run_study(StudySpec(kind="sampling_dist", parameters=params, seed=23, out=tmp))
@@ -90,6 +135,15 @@ def study(tmp: str) -> None:
     outputs = run_study(StudySpec(kind="mle_curve", parameters=params, seed=23, out=tmp))
     with open(outputs["table"], "rb") as fh:
         _show("study mle_curve", fh.read())
+    params = {"k": 4, "theta": 4.8, "sigma": -40.0, "m": 200, "pool_n": 100_000}
+    outputs = run_study(StudySpec(kind="bootstrap_hist", parameters=params, seed=23, out=tmp))
+    with open(outputs["table"], "rb") as fh:
+        _show("study bootstrap_hist", fh.read())
+    params = {"k": 4, "theta": 4.8, "h": 0.3, "sigma_values": [-20.0, 0.0, 35.1, 300.0], "pool_n": 100_000}
+    outputs = run_study(StudySpec(kind="cdf_panel", parameters=params, seed=23, out=tmp))
+    for key in ("table", "summary"):
+        with open(outputs[key], "rb") as fh:
+            _show(f"study cdf_panel {key}", fh.read())
 
 
 def likelihood() -> None:
@@ -129,6 +183,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         simulate(tmp)
     bootstrap()
+    mle_sigma()
+    pools()
     with tempfile.TemporaryDirectory() as tmp:
         study(tmp)
     likelihood()
