@@ -36,7 +36,7 @@ from .inference import (
     posterior_sample,
     posterior_summary,
 )
-from .sampler import RejectionStarvedError, sample_neutral, sample_selection, write_samples_jsonl
+from .sampler import RejectionStarvedError, _neutral_arrays, _selection_arrays, write_samples_jsonl
 from .study import StudySchemaError, StudySpec, run_study
 
 __all__ = ["main"]
@@ -100,18 +100,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_writable(args.out, args.out + ".run.json")
     seed = _resolve_seed(args.seed)
     theta = MutationParams.symmetric(args.theta, args.k)
+    # Draws stay one array from the sampler to the file: no SimplexPoint per row.
     if args.sigma == 0.0:
-        points = sample_neutral(theta, args.n, seed)
-        report = {"method": "neutral", "acceptance_rate": 1.0, "n_proposals": args.n}
+        draws = _neutral_arrays(theta, args.n, seed)
+        report = {"method": "neutral", "acceptance_rate": 1.0, "n_proposals": args.n, "flags": []}
     else:
-        points, rep = sample_selection(theta, args.sigma, args.n, seed)
+        draws, rep = _selection_arrays(theta, args.sigma, args.n, seed)
         report = {
             "method": rep.method,
             "acceptance_rate": rep.acceptance_rate,
             "n_proposals": rep.n_proposals,
             "flags": list(rep.flags),
         }
-    write_samples_jsonl(points, args.out)
+    write_samples_jsonl(draws, args.out)
     flags = {
         "k": args.k,
         "theta": args.theta,
@@ -148,8 +149,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.method in ("bootstrap", "posterior"):
         # Before any pilot fit or chain: a bad level would only surface after them.
         _check_level(args.level)
-    if args.out:
-        _check_writable(args.out)
+    # The posterior's --chain-csv too, which would otherwise fail only after the chain.
+    chain_csv = args.chain_csv if args.method == "posterior" else None
+    _check_writable(*(p for p in (args.out, chain_csv) if p))
     label, point = _load_single_dataset(args.data)
     h = homozygosity(point)
     k = point.k

@@ -21,14 +21,13 @@ asymmetric in the sign of sigma.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import MutationParams, SelectionModel, SimplexPoint, _dirichlet, derive_rng
+from .core import INTERNAL_SUM_TOL, MutationParams, SelectionModel, SimplexPoint, _dirichlet, derive_rng
 from .density import _logsumexp_rows, g_sigma, pool_for_sigma_range
 
 __all__ = [
@@ -61,6 +60,8 @@ PROPOSAL_CONCENTRATION_RANGE = (0.05, 1e4)
 # another MAX_REJECTION_PROPOSALS.
 MAX_REJECTION_PROPOSALS = 10_000_000
 MIN_ACCEPTANCE = 1e-6
+# Rows per write in write_samples_jsonl, so its memory does not grow with n.
+JSONL_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,15 @@ class SamplerReport:
     burn_in: int | None = None
 
 
-def sample_neutral(theta: MutationParams, n: int, seed: int) -> list[SimplexPoint]:
-    """Independent draws from the neutral Dirichlet stationary law."""
+def _neutral_arrays(theta: MutationParams, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = derive_rng(seed, 11)
-    x = _dirichlet(theta.alphas(), n, rng)
-    return [SimplexPoint(row) for row in x]
+    return _dirichlet(theta.alphas(), n, derive_rng(seed, 11))
+
+
+def sample_neutral(theta: MutationParams, n: int, seed: int) -> list[SimplexPoint]:
+    """Independent draws from the neutral Dirichlet stationary law."""
+    return [SimplexPoint(row) for row in _neutral_arrays(theta, n, seed)]
 
 
 def _rejection_arrays(theta: MutationParams, sigma: float, n: int, seed: int) -> tuple[np.ndarray, SamplerReport]:
@@ -242,6 +245,15 @@ def _mh_arrays(
     score_cur = float(scores(x_cur[None, :])[0])
 
     def run_phase(total: int, phase: int, keep_every: int | None):
+        """Run ``total`` steps in blocks of 2^16 proposals; keep every ``keep_every``-th state.
+
+        The accept test runs on Python floats (``tolist``) and tracks only the
+        index ``last`` of the block's latest accepted proposal (-1: none yet,
+        the state is still ``x_cur``).  A row is taken when a state is kept,
+        and once at the block's end to carry ``x_cur`` into the next block.
+        The comparisons are the same float64 ones in the same order, so the
+        chain is the one a loop on NumPy scalars gives.
+        """
         nonlocal x_cur, score_cur
         kept: list[np.ndarray] = []
         accepts = 0
@@ -252,16 +264,19 @@ def _mh_arrays(
             size = min(block_size, total - step)
             rng = derive_rng(seed, 31, phase, block)
             props = draw_block(size, rng)
-            sc = scores(props)
-            logu = np.log(rng.random(size))
+            sc = scores(props).tolist()
+            logu = np.log(rng.random(size)).tolist()
+            last = -1
             for t in range(size):
                 if logu[t] < sc[t] - score_cur:
-                    x_cur = props[t]
-                    score_cur = float(sc[t])
+                    score_cur = sc[t]
+                    last = t
                     accepts += 1
                 step += 1
                 if keep_every is not None and step % keep_every == 0:
-                    kept.append(x_cur)
+                    kept.append(x_cur if last < 0 else props[last])
+            if last >= 0:
+                x_cur = props[last]
             block += 1
         return kept, accepts
 
@@ -338,8 +353,31 @@ def sample_selection(
     return [SimplexPoint(row) for row in draws], report
 
 
-def write_samples_jsonl(points: list[SimplexPoint], path: str) -> None:
-    """Stream draws to JSON lines, one population per line with its index."""
+def write_samples_jsonl(draws, path: str) -> None:
+    """Write draws as JSON lines, one population per line with its index.
+
+    ``draws`` is an (n, k) array, or anything ``np.asarray`` turns into one,
+    such as a list of ``SimplexPoint``.  Every row is checked before the path
+    is opened, by ``SimplexPoint``'s rules: finite, positive entries summing
+    to 1 within ``INTERNAL_SUM_TOL``.  The first bad row raises
+    ``ValueError``, and an existing file at the path is left as it was.
+    Rows are written ``JSONL_CHUNK_ROWS`` at a time, one ``tolist`` and one
+    write per chunk.  Each line has the bytes of ``json.dumps({"index": i,
+    "frequencies": row})``: both print floats by ``float.__repr__`` and
+    use the same separators.
+    """
+    x = np.asarray(draws, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"draws must be an (n, k) array with k >= 2, got shape {x.shape}")
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(x).all(axis=1) & (x > 0.0).all(axis=1)
+        ok &= np.abs(x.sum(axis=1) - 1.0) <= INTERNAL_SUM_TOL
+    for i in np.flatnonzero(~ok):
+        try:
+            SimplexPoint(x[i])
+        except ValueError as exc:
+            raise ValueError(f"draw {i}: {exc}") from None
     with open(path, "w") as fh:
-        for i, p in enumerate(points):
-            fh.write(json.dumps({"index": i, "frequencies": list(p.values)}) + "\n")
+        for lo in range(0, len(x), JSONL_CHUNK_ROWS):
+            rows = x[lo : lo + JSONL_CHUNK_ROWS].tolist()
+            fh.write("".join(f'{{"index": {i}, "frequencies": {row}}}\n' for i, row in enumerate(rows, lo)))

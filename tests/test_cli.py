@@ -5,8 +5,13 @@ import warnings
 import pytest
 
 import kallele.cli
+from kallele import MutationParams, SimplexPoint
 from kallele.cli import main
-from kallele.sampler import RejectionStarvedError
+from kallele.sampler import RejectionStarvedError, sample_neutral, sample_selection, write_samples_jsonl
+
+# The four routes of `kallele simulate` at k = 4, theta = 4.8: neutral,
+# rejection, MH with a symmetric Dirichlet proposal, MH with the vertex mixture.
+ROUTE_SIGMAS = ["0", "35.1", "200", "-200"]
 
 
 def run_cli(*argv):
@@ -65,6 +70,47 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Dirichlet concentration") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sigma", ROUTE_SIGMAS)
+    def test_builds_no_simplex_point(self, tmp_path, monkeypatch, sigma):
+        built = []
+        init = SimplexPoint.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimplexPoint, "__init__", counting)
+        code = run_cli("simulate", "--k", "4", "--theta", "4.8", f"--sigma={sigma}", "--n", "300",
+                       "--seed", "2", "--out", str(tmp_path / "s.jsonl"))
+        assert code == 0
+        assert built == []
+
+    @pytest.mark.parametrize("sigma", ROUTE_SIGMAS)
+    def test_file_equals_public_sampler_output(self, tmp_path, sigma):
+        # At sigma = 200, n = 12 000 takes about 72k MH steps, so the chain's
+        # state is carried across the 2^16-proposal block.
+        theta = MutationParams.symmetric(4.8, 4)
+        if float(sigma) == 0.0:
+            points = sample_neutral(theta, 12_000, 9)
+        else:
+            points = sample_selection(theta, float(sigma), 12_000, 9)[0]
+        ref, out = tmp_path / "ref.jsonl", tmp_path / "cli.jsonl"
+        write_samples_jsonl(points, str(ref))
+        code = run_cli("simulate", "--k", "4", "--theta", "4.8", f"--sigma={sigma}", "--n", "12000",
+                       "--seed", "9", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_run_records_share_sampler_keys(self, tmp_path):
+        keys = []
+        for sigma in ROUTE_SIGMAS:
+            out = tmp_path / "r.jsonl"
+            assert run_cli("simulate", "--k", "4", "--theta", "4.8", f"--sigma={sigma}", "--n", "50",
+                           "--seed", "4", "--out", str(out)) == 0
+            keys.append(sorted(json.loads((tmp_path / "r.jsonl.run.json").read_text())["outputs"]["sampler"]))
+        assert "flags" in keys[0]
+        assert keys == [keys[0]] * len(ROUTE_SIGMAS)
 
     def test_replay_reproduces_samples(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -205,6 +251,18 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert elapsed < 1.0
 
+    def test_bad_chain_csv_rejected_before_the_chain(self, tmp_path, monkeypatch, capsys):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the chain ran before --chain-csv was checked")
+
+        monkeypatch.setattr(kallele.cli, "posterior_sample", not_reached)
+        code = run_cli("analyze", "--data", "lyme", "--method", "posterior", "--chain-length", "2000",
+                       "--pool-size", "20000", "--seed", "1", "--chain-csv", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit) as err:
             run_cli("analyze", "--data", "lyme", "--method", "magic")
@@ -283,7 +341,7 @@ class TestErrorMapping:
         def starved(*args, **kwargs):
             raise RejectionStarvedError("rejection acceptance rate 1.0e-07 after 10000000 proposals")
 
-        monkeypatch.setattr(kallele.cli, "sample_selection", starved)
+        monkeypatch.setattr(kallele.cli, "_selection_arrays", starved)
         code = run_cli("simulate", "--k", "4", "--theta", "4.8", "--sigma", "40", "--n", "10",
                        "--seed", "1", "--out", str(tmp_path / "x.jsonl"))
         assert code == 2
@@ -322,7 +380,7 @@ class TestErrorMapping:
         def not_reached(*args, **kwargs):
             raise AssertionError("the work ran before --out was checked")
 
-        for name in ("bootstrap", "sample_selection", "run_study"):
+        for name in ("bootstrap", "_selection_arrays", "_neutral_arrays", "run_study"):
             monkeypatch.setattr(kallele.cli, name, not_reached)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "mle_curve", "parameters": {"k": 4, "theta": 4.8},

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -166,8 +167,6 @@ class TestSampleSelection:
 
 class TestSamplesJsonl:
     def test_write(self, tmp_path):
-        import json
-
         theta = MutationParams.symmetric(3.0, 3)
         pts = sample_neutral(theta, 20, seed=1)
         path = tmp_path / "samples.jsonl"
@@ -177,3 +176,41 @@ class TestSamplesJsonl:
         row = json.loads(lines[7])
         assert row["index"] == 7
         assert row["frequencies"] == list(pts[7].values)
+
+    def test_bytes_are_json_dumps(self, tmp_path, monkeypatch):
+        # Exponent-form and 17-digit values, as in vertex draws at sigma = -1e4;
+        # three rows per chunk, so lines also cross chunk boundaries.
+        monkeypatch.setattr(sampler, "JSONL_CHUNK_ROWS", 3)
+        head = np.array([5.5843795620352384e-05, 0.12345678901234568, 1e-300])
+        rows = [np.append(head, 1.0 - head.sum())]
+        rows += [row for row in sampler._neutral_arrays(MutationParams.symmetric(0.5, 4), 7, seed=3)]
+        path = tmp_path / "samples.jsonl"
+        write_samples_jsonl(np.asarray(rows), str(path))
+        expected = "".join(json.dumps({"index": i, "frequencies": row}) + "\n"
+                           for i, row in enumerate(np.asarray(rows).tolist()))
+        assert "5.5843795620352384e-05" in expected
+        assert path.read_text() == expected
+
+    def test_points_and_array_give_same_file(self, tmp_path):
+        pts, _ = sample_selection(MutationParams.symmetric(4.8, 4), -200.0, 100, seed=5)
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_samples_jsonl(pts, str(a))
+        write_samples_jsonl(np.asarray([p.values for p in pts]), str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([0.0, 0.5, 0.5], "non-positive"),
+            ([math.nan, 0.5, 0.5], "not finite"),
+            ([-0.1, 0.6, 0.5], "non-positive"),
+            ([0.25, 0.25, 0.5 + 1e-6], "sum to"),
+        ],
+    )
+    def test_bad_row_raises_and_leaves_file(self, tmp_path, bad, message):
+        path = tmp_path / "samples.jsonl"
+        path.write_text("earlier contents\n")
+        rows = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], bad, [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"draw 2: .*{message}"):
+            write_samples_jsonl(rows, str(path))
+        assert path.read_text() == "earlier contents\n"

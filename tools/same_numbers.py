@@ -10,7 +10,9 @@ Each line is ``<sha256>  <output>``.  Floats are hashed through their
 exact bits (``repr`` in records, raw bytes in arrays), so any change in any
 output, down to the last bit, changes its line.  Outputs: ``simulate``
 JSON lines on the four sampler routes and ``sample_selection`` under a
-general matrix (the MH route with the neutral proposal), ``bootstrap``
+general matrix (the MH route with the neutral proposal), the files that
+``kallele simulate`` writes on the four routes at n = 20 000 and for a
+stuck vertex-mixture chain (sigma = -1e4, thinned by 100), ``bootstrap``
 records at three generators and the first again on two threads, cold and
 warm ``mle_sigma`` solves on a fresh mixture pool from beyond one cap to
 beyond the other and at both unbounded fringes, the CSVs of a
@@ -25,7 +27,9 @@ Xeon: about 8 s.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -34,7 +38,7 @@ import tempfile
 import numpy as np
 
 from kallele import Homozygosity, MutationParams, SelectionModel, homozygosity, parse_frequencies
-from kallele import inference
+from kallele import cli, inference
 from kallele.density import (
     build_mixture_pool,
     build_pool,
@@ -83,6 +87,22 @@ def simulate(tmp: str) -> None:
     write_samples_jsonl(points, path)
     with open(path, "rb") as fh:
         _show("sample_selection from_matrix", fh.read(), repr(report))
+    # `kallele simulate` itself at the benchmark's size, where the MH chains
+    # cross a 2^16-proposal block, and a chain stuck near one vertex.
+    for label, argv in (
+        ("neutral", ["--sigma", "0", "--n", "20000"]),
+        ("rejection", ["--sigma", "35.1", "--n", "20000"]),
+        ("mh-dirichlet", ["--sigma", "200", "--n", "20000"]),
+        ("mh-vertex", ["--sigma=-200", "--n", "20000"]),
+        ("mh-vertex stuck", ["--sigma=-1e4", "--n", "2000"]),
+    ):
+        path = os.path.join(tmp, "cli.jsonl")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["simulate", "--k", "4", "--theta", "4.8", "--seed", "17", "--out", path, *argv])
+        with open(path + ".run.json") as fh:
+            sampler = json.load(fh)["outputs"]["sampler"]
+        with open(path, "rb") as fh:
+            _show(f"cli simulate {label}", rc, fh.read(), [sampler[key] for key in ("method", "acceptance_rate", "n_proposals")])
 
 
 def bootstrap() -> None:
