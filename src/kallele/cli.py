@@ -146,12 +146,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _env_int("KALLELE_THREADS", 1)
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
+    if args.chain_csv and args.method != "posterior":
+        raise ValueError(f"--chain-csv needs --method posterior, got --method {args.method}")
     if args.method in ("bootstrap", "posterior"):
         # Before any pilot fit or chain: a bad level would only surface after them.
         _check_level(args.level)
     # The posterior's --chain-csv too, which would otherwise fail only after the chain.
-    chain_csv = args.chain_csv if args.method == "posterior" else None
-    _check_writable(*(p for p in (args.out, chain_csv) if p))
+    _check_writable(*(p for p in (args.out, args.chain_csv) if p))
     label, point = _load_single_dataset(args.data)
     h = homozygosity(point)
     k = point.k

@@ -14,12 +14,14 @@ bracketing-safe.
 All weight arithmetic is carried in log space with max-shift before
 exponentiation: the tilt exp(-sigma * h) spans hundreds of orders of
 magnitude at the intensities this package is asked to explore.  Every
-estimate at a scalar intensity reduces one weight step, ``_weights``.  The
-full pass, ``tilt``, returns the log weight total, the tilted mean of h,
-its derivative in sigma and the effective sample size; callers that read
-only the log weight total (``_log_z``) reduce the same weights to just
-that, with the same bits, and the CDF (``cdf_homozygosity``) is a weighted
-fraction of the same weights.
+estimate at a scalar intensity reduces one weight step, ``_weights``, in
+one of four passes: the full pass (``_pass``, behind ``tilt``) returns the
+log weight total, the tilted mean of h, its derivative in sigma and the
+effective sample size; the tangent pass (``_log_z_tangent``) returns the
+same log weight total with the means of s and h; the surface pass
+(``_surface``) returns the moments of (s, h) at a mutation rate; and the
+CDF pass (``_cdf_logit``, behind ``cdf_homozygosity``) returns the
+weighted fraction at or below an h, with its logit and slope.
 """
 
 from __future__ import annotations
@@ -50,10 +52,8 @@ __all__ = [
     "pool_for_sigma_range",
     "tilt",
     "log_normalizer",
-    "log_normalizer_se",
     "log_likelihood",
     "g_sigma",
-    "g_sigma_se",
     "score_general",
     "cdf_homozygosity",
     "optimal_composition",
@@ -221,25 +221,34 @@ def _logsumexp_rows(parts: np.ndarray) -> np.ndarray:
     return np.log1p(s) + np.log(ties) + top
 
 
-def _build(
+def build_mixture_pool(
     theta: MutationParams,
     concentrations: tuple[float, ...],
-    n: int,
-    seed: int,
-    keep_draws: bool,
+    n: int = 100_000,
+    seed: int = 0,
+    keep_draws: bool = True,
 ) -> WeightedPool:
+    """Build a defensive-mixture pool, combined by mixture importance weighting.
+
+    Draws are split evenly over the concentrations and weighted against the
+    full mixture proposal density, so a single pool stays usable across the
+    whole intensity range its components jointly cover.
+    """
+    if len(concentrations) < 1:
+        raise ValueError("need at least one concentration")
+    concentrations = tuple(float(a) for a in concentrations)
     if n < 1:
         raise ValueError("pool size must be at least 1")
     k = theta.k
     m = len(concentrations)
     counts = [n // m + (1 if i < n % m else 0) for i in range(m)]
-    hs, ss, plds, blocks = [], [], [], []
+    hs, ss, blocks = [], [], []
     for ci, (a, count) in enumerate(zip(concentrations, counts)):
         if a <= 0:
             raise ValueError("proposal concentrations must be positive")
         if count == 0:
             continue
-        x = _draw_component(float(a), count, k, seed, ci)
+        x = _draw_component(a, count, k, seed, ci)
         hs.append(np.einsum("ij,ij->i", x, x))
         ss.append(np.log(x).sum(axis=1))
         blocks.append(x)
@@ -249,7 +258,7 @@ def _build(
     draws = np.concatenate(blocks) if keep_draws or theta.mode != "symmetric" else None
 
     # Components left without draws (n below their number) have mixture weight 0.
-    drawn = [(float(a), count) for a, count in zip(concentrations, counts) if count]
+    drawn = [(a, count) for a, count in zip(concentrations, counts) if count]
     parts = np.empty((len(drawn), n), dtype=np.float64)
     for ci, (a, count) in enumerate(drawn):
         parts[ci] = math.log(count / n) + _dirichlet_logconst(np.full(k, a)) + (a - 1.0) * s
@@ -269,7 +278,7 @@ def _build(
         proposal_log_density=pld,
         draws=draws if keep_draws else None,
         theta=theta,
-        concentrations=tuple(float(a) for a in concentrations),
+        concentrations=concentrations,
         component_counts=tuple(counts),
         seed=int(seed),
         n=int(n),
@@ -293,25 +302,7 @@ def build_pool(
     """
     if proposal_a is None:
         proposal_a = theta.total / theta.k
-    return _build(theta, (float(proposal_a),), n, seed, keep_draws)
-
-
-def build_mixture_pool(
-    theta: MutationParams,
-    concentrations: tuple[float, ...],
-    n: int = 100_000,
-    seed: int = 0,
-    keep_draws: bool = True,
-) -> WeightedPool:
-    """Build a defensive-mixture pool, combined by mixture importance weighting.
-
-    Draws are split evenly over the concentrations and weighted against the
-    full mixture proposal density, so a single pool stays usable across the
-    whole intensity range its components jointly cover.
-    """
-    if len(concentrations) < 1:
-        raise ValueError("need at least one concentration")
-    return _build(theta, tuple(float(a) for a in concentrations), n, seed, keep_draws)
+    return build_mixture_pool(theta, (proposal_a,), n, seed, keep_draws)
 
 
 def pool_for_sigma_range(
@@ -338,8 +329,6 @@ def pool_for_sigma_range(
         concs.extend(a for a in DEFENSIVE_CONCENTRATIONS if a not in concs)
     if sigma_lo < -NEGATIVE_MIXTURE_THRESHOLD and VERTEX_CONCENTRATION not in concs:
         concs.append(VERTEX_CONCENTRATION)
-    if len(concs) == 1:
-        return build_pool(theta, base, n, seed, keep_draws)
     return build_mixture_pool(theta, tuple(concs), n, seed, keep_draws)
 
 
@@ -389,8 +378,8 @@ def _fraction_below(w_below: float, w_above: float) -> float:
 def _cdf_logit(pool: WeightedPool, sigma: float, cdf_at: float) -> tuple[float, float, float]:
     """One CDF pass with its slope: F = P(H <= cdf_at), logit F and d(logit F)/d(sigma).
 
-    F is ``cdf_homozygosity``'s value bit for bit, and logit F is -log of
-    the same ratio W_above/W_below, so both are exactly monotone in sigma.
+    ``cdf_homozygosity`` returns this F, and logit F is -log of the same
+    ratio W_above/W_below, so both are exactly monotone in sigma.
     The slope E_w[h | h > cdf_at] - E_w[h | h <= cdf_at] is never negative;
     its h-weighted sums come from the pass's own weight array, multiplied
     by h in place.  Both sides are summed directly: the total minus one
@@ -410,11 +399,13 @@ def _cdf_logit(pool: WeightedPool, sigma: float, cdf_at: float) -> tuple[float, 
     return f, -math.log(w_above / w_below), float(w @ above) / w_above - float(w @ below) / w_below
 
 
-def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray) -> Tilt:
+def _pass(base: np.ndarray, stat: np.ndarray, sigma: float) -> Tilt:
+    """The full pass: ``Tilt`` of the weights exp(base - sigma * stat)."""
     # Moments are taken about the statistic of the top-weight draw.  Where g
     # saturates, its correction term still moves by many of its own rounding
     # errors per step in sigma, and rounding is monotone, so g stays exactly
     # monotone there as well.
+    w, top, i_top = _weights(base, stat, sigma)
     total = float(w.sum())
     d = stat - stat[i_top]
     c = float(w @ d) / total
@@ -427,14 +418,8 @@ def _summary(w: np.ndarray, top: float, i_top: int, stat: np.ndarray) -> Tilt:
     )
 
 
-def _log_z(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
-    """The ``log_z`` of a full pass, bit for bit, without its moments and ESS."""
-    w, top, _ = _weights(base, stat, sigma)
-    return top + math.log(float(w.sum()))
-
-
 def _log_z_tangent(base: np.ndarray, s: np.ndarray, h: np.ndarray, sigma: float) -> tuple[float, float, float]:
-    """``_log_z(base, h, sigma)`` bit for bit, with E_w[s] and E_w[h] from the same weights.
+    """The full pass's ``log_z`` bit for bit, with E_w[s] and E_w[h] from the same weights.
 
     For the surface base at a = theta/k, log Z is convex in (a, sigma) and
     these means are its gradient (E_w[s], -E_w[h]): the tangent plane they
@@ -475,8 +460,7 @@ def tilt(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> Tilt:
     mutation rate).  The pass is pure and allocates its own work arrays, so
     threads may share the pool.
     """
-    base = pool.b if b is None else b
-    return _summary(*_weights(base, pool.h, sigma), pool.h)
+    return _pass(pool.b if b is None else b, pool.h, sigma)
 
 
 def _selection_stat(pool: WeightedPool, model: SelectionModel) -> tuple[np.ndarray, float]:
@@ -489,11 +473,6 @@ def _selection_stat(pool: WeightedPool, model: SelectionModel) -> tuple[np.ndarr
     return np.einsum("ij,jl,il->i", pool.draws, m, pool.draws), 1.0
 
 
-def _log_normalizer(base: np.ndarray, stat: np.ndarray, sigma: float) -> float:
-    """log Z(sigma) - log Z(0): exactly 0 at sigma = 0."""
-    return _log_z(base, stat, sigma) - _log_z(base, stat, 0.0)
-
-
 def log_normalizer(pool: WeightedPool, model: SelectionModel) -> tuple[float, float]:
     """Self-normalized estimate of log E[exp(-X' S X)] under the neutral law, and its ESS.
 
@@ -502,17 +481,8 @@ def log_normalizer(pool: WeightedPool, model: SelectionModel) -> tuple[float, fl
     ``DEFAULT_ESS_FLOOR`` it flags the estimate as unreliable.
     """
     stat, sigma = _selection_stat(pool, model)
-    t = _summary(*_weights(pool.b, stat, sigma), stat)
-    return t.log_z - _log_z(pool.b, stat, 0.0), min(max(t.ess, 1.0), float(pool.n))
-
-
-def log_normalizer_se(pool: WeightedPool, model: SelectionModel) -> float:
-    """Delta-method standard error of the log-normalizer estimate."""
-    stat, sigma = _selection_stat(pool, model)
-    u = _weights(pool.b, stat, sigma)[0]
-    v = _weights(pool.b, stat, 0.0)[0]
-    du = u / u.sum() - v / v.sum()
-    return float(np.sqrt(du @ du))
+    t = _pass(pool.b, stat, sigma)
+    return t.log_z - _pass(pool.b, stat, 0.0).log_z, min(max(t.ess, 1.0), float(pool.n))
 
 
 def log_likelihood(
@@ -529,11 +499,12 @@ def log_likelihood(
     if x.k != theta.k or x.k != pool.k:
         raise ValueError("dimension mismatch between data, mutation parameters and pool")
     stat, sigma = _selection_stat(pool, model)
-    lz = _log_normalizer(pool.base_log_weights_for(theta), stat, sigma)
+    base = pool.base_log_weights_for(theta)
+    lz = _pass(base, stat, sigma).log_z - _pass(base, stat, 0.0).log_z
     return -quadratic_form(x, model) - lz + neutral_log_density(x, theta)
 
 
-def g_sigma(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> float:
+def g_sigma(pool: WeightedPool, sigma: float) -> float:
     """Mean homozygosity under selection intensity sigma, on a fixed pool.
 
     For a fixed pool this empirical curve is exactly non-increasing in
@@ -541,15 +512,7 @@ def g_sigma(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> fl
     derivative of the log-normalizer, so g(sigma) - h is the score of the
     log-likelihood in sigma.
     """
-    return tilt(pool, sigma, b).g
-
-
-def g_sigma_se(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> float:
-    """Delta-method standard error of the g_sigma estimate."""
-    w = _weights(pool.b if b is None else b, pool.h, sigma)[0]
-    w /= w.sum()
-    d = w * (pool.h - float(w @ pool.h))
-    return float(np.sqrt(d @ d))
+    return tilt(pool, sigma).g
 
 
 def score_general(x: SimplexPoint, pool: WeightedPool, model: SelectionModel) -> np.ndarray:
@@ -569,12 +532,7 @@ def score_general(x: SimplexPoint, pool: WeightedPool, model: SelectionModel) ->
     return second - np.outer(v, v)
 
 
-def cdf_homozygosity(
-    pool: WeightedPool,
-    sigma: float,
-    h: Homozygosity,
-    b: np.ndarray | None = None,
-) -> float:
+def cdf_homozygosity(pool: WeightedPool, sigma: float, h: Homozygosity) -> float:
     """P(H <= h) under selection intensity sigma, on a fixed pool.
 
     For fixed h the empirical map sigma -> F is exactly non-decreasing:
@@ -582,10 +540,9 @@ def cdf_homozygosity(
     through the ratio of the weight above h to the weight at or below it;
     where F saturates, that ratio still moves by many of its own rounding
     errors per step in sigma, so F stays exactly monotone there as well.
+    This is the F of the CDF pass, ``_cdf_logit``.
     """
-    w = _weights(pool.b if b is None else b, pool.h, sigma)[0]
-    below = pool.h <= h.value
-    return _fraction_below(float(w @ below), float(w @ ~below))
+    return _cdf_logit(pool, sigma, h.value)[0]
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q) -> np.ndarray:

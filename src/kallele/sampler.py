@@ -67,7 +67,6 @@ JSONL_CHUNK_ROWS = 4096
 @dataclass(frozen=True)
 class SamplerConfig:
     sigma_switch: float = 50.0
-    force_method: str | None = None
 
 
 @dataclass(frozen=True)
@@ -320,12 +319,6 @@ def _selection_arrays(
     else:
         model = SelectionModel.overdominance(float(selection))
 
-    if config.force_method == "rejection":
-        if model.mode != "symmetric":
-            raise ValueError("rejection sampling requires the scalar overdominance model")
-        return _rejection_arrays(theta, float(model.sigma), n, seed)
-    if config.force_method == "independence-mh":
-        return _mh_arrays(theta, model, n, seed)
     if model.mode != "symmetric":
         return _mh_arrays(theta, model, n, seed)
     sigma = float(model.sigma)

@@ -29,6 +29,24 @@ def dirichlet_cross_moment(alpha_i: float, alpha_j: float, alpha_0: float) -> fl
     return alpha_i * alpha_j / (alpha_0 * (alpha_0 + 1.0))
 
 
+def _normalized_weights(log_w: np.ndarray) -> np.ndarray:
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
+def tilted_mean_h_se(b: np.ndarray, h: np.ndarray, sigma: float) -> float:
+    """Delta-method standard error of the self-normalized mean of h under weights exp(b - sigma h)."""
+    w = _normalized_weights(b - sigma * h)
+    d = w * (h - w @ h)
+    return float(np.sqrt(d @ d))
+
+
+def tilted_log_normalizer_se(b: np.ndarray, stat: np.ndarray, sigma: float) -> float:
+    """Delta-method standard error of log sum exp(b - sigma stat) - log sum exp(b) over one set of draws."""
+    du = _normalized_weights(b - sigma * stat) - _normalized_weights(b)
+    return float(np.sqrt(du @ du))
+
+
 def log_normalizer_quadrature_k2(theta_total: float, sigma: float) -> float:
     """ln E[exp(-sigma H)] for k = 2 via adaptive 1-d quadrature."""
     a = theta_total / 2.0

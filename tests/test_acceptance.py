@@ -269,7 +269,7 @@ def test_criterion_9_property_suite():
     # rejection and MH land on the same law
     rej, _ = sample_selection(theta4, 20.0, 10_000, seed=7)
     mh, _ = sample_selection(theta4, 20.0, 10_000, seed=8,
-                             config=SamplerConfig(force_method="independence-mh"))
+                             config=SamplerConfig(sigma_switch=10.0))
     h_rej = np.einsum("ij,ij->i", np.asarray([p.values for p in rej]), np.asarray([p.values for p in rej]))
     h_mh = np.einsum("ij,ij->i", np.asarray([p.values for p in mh]), np.asarray([p.values for p in mh]))
     ks = ks_2samp(h_rej, h_mh)

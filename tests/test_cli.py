@@ -263,6 +263,22 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Is a directory" in err
 
+    @pytest.mark.parametrize("method", ["mle", "monotone-ci", "bootstrap"])
+    def test_chain_csv_needs_posterior(self, tmp_path, monkeypatch, capsys, method):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("work started before --chain-csv was checked")
+
+        for name in ("mle_joint", "monotone_ci", "bootstrap", "pool_for_sigma_range"):
+            monkeypatch.setattr(kallele.cli, name, not_reached)
+        csv = tmp_path / "x.csv"
+        code = run_cli("analyze", "--data", "lyme", "--method", method, "--fix-theta", "4.8", "--sigma", "35.1",
+                       "--pool-size", "5000", "--seed", "1", "--chain-csv", str(csv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--chain-csv" in err
+        assert not csv.exists()
+
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit) as err:
             run_cli("analyze", "--data", "lyme", "--method", "magic")

@@ -23,15 +23,13 @@ from kallele import (
 )
 from kallele.density import (
     DEFAULT_ESS_FLOOR,
-    _log_z,
+    _cdf_logit,
     _log_z_tangent,
     _logsumexp_rows,
     _surface,
     _surface_base,
     _weights,
     build_mixture_pool,
-    g_sigma_se,
-    log_normalizer_se,
     pool_for_sigma_range,
     tilt,
 )
@@ -174,7 +172,7 @@ class TestLogNormalizer:
         p2 = build_pool(theta_lyme, n=100_000, seed=2, keep_draws=False)
         v1, _ = log_normalizer(p1, model)
         v2, _ = log_normalizer(p2, model)
-        se = math.hypot(log_normalizer_se(p1, model), log_normalizer_se(p2, model))
+        se = math.hypot(*(oracles.tilted_log_normalizer_se(p.b, p.h, 20.0) for p in (p1, p2)))
         assert abs(v1 - v2) <= 4.0 * se
 
     def test_frozen_quadrature_values_k4(self, mixture_pool_k4):
@@ -250,9 +248,6 @@ class TestGSigma:
             g = g_sigma(mixture_pool_k4, sigma)
             assert fd == pytest.approx(-g, rel=1e-6)
 
-    def test_se_positive(self, pool_k4):
-        assert g_sigma_se(pool_k4, 10.0) > 0.0
-
 
 class TestTilt:
     @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1e4])
@@ -286,21 +281,24 @@ class TestTilt:
         hv = Homozygosity(value=0.3, k=4)
         for pool in (pool_k4, mixture_pool_k4):
             assert np.all(np.diff([tilt(pool, s).g for s in grid]) <= 0.0)
-            assert np.all(np.diff([cdf_homozygosity(pool, s, hv) for s in grid]) >= 0.0)
+            fs = [cdf_homozygosity(pool, s, hv) for s in grid]
+            assert np.all(np.diff(fs) >= 0.0)
+            assert fs == [_cdf_logit(pool, s, hv.value)[0] for s in grid]
 
     @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1600.0, 1e4])
     def test_lean_passes_equal_full_pass(self, pool_k4, mixture_pool_k4, sigma):
-        # no tolerance: _log_z and the CDF pass reduce the same weights as tilt
+        # no tolerance: the tangent and CDF passes reduce the same weights as tilt
         hv = Homozygosity(value=0.3, k=4)
         b_other = mixture_pool_k4.base_log_weights_for(MutationParams.symmetric(7.5, 4))
         for pool, b in ((pool_k4, None), (mixture_pool_k4, None), (mixture_pool_k4, b_other)):
             base = pool.b if b is None else b
-            assert _log_z(base, pool.h, sigma) == tilt(pool, sigma, b).log_z
-            w = _weights(base, pool.h, sigma)[0]
+            assert _log_z_tangent(base, pool.s, pool.h, sigma)[0] == tilt(pool, sigma, b).log_z
+        for pool in (pool_k4, mixture_pool_k4):
+            w = _weights(pool.b, pool.h, sigma)[0]
             below = pool.h <= hv.value
             w_below, w_above = float(w @ below), float(w @ ~below)
             expected = 1.0 / (1.0 + w_above / w_below) if w_below > 0.0 else 0.0
-            assert cdf_homozygosity(pool, sigma, hv, b) == expected
+            assert cdf_homozygosity(pool, sigma, hv) == expected
 
     def test_weights_are_zero_or_normal(self, mixture_pool_k4):
         for sigma in (-1e4, 1600.0, 1e4):
@@ -344,21 +342,21 @@ class TestSurface:
         a = theta / 4
         base = _surface_base(pool, a)
         log_z, es, eh = _log_z_tangent(base, pool.s, pool.h, sigma)
-        # no tolerance on log Z: the tangent pass is _log_z with two more reductions
-        assert log_z == _log_z(base, pool.h, sigma)
+        # no tolerance on log Z: the tangent pass is the full pass's log Z with two more reductions
+        assert log_z == tilt(pool, sigma, base).log_z
         _, mean_t, _, _ = _surface(pool, a, sigma)
         np.testing.assert_allclose([es, eh], mean_t, rtol=1e-12)
         # log Z is convex in (a, sigma): the plane stays below it far away too
         for a2, sigma2 in ((a * 0.1, sigma - 500.0), (a * 3.0, sigma + 2000.0), (a + 1.0, -sigma), (a, sigma + 1.0)):
             plane = log_z + (a2 - a) * es - (sigma2 - sigma) * eh
-            assert plane <= _log_z(_surface_base(pool, a2), pool.h, sigma2) + 1e-9
+            assert plane <= tilt(pool, sigma2, _surface_base(pool, a2)).log_z + 1e-9
 
 
 class TestScoreSigma:
     # The score of the log-likelihood in sigma is g(sigma) - h.
     def test_zero_at_neutral_moment(self, pool_k4):
         h = oracles.dirichlet_mean_homozygosity(4.8, 4)
-        se = g_sigma_se(pool_k4, 0.0)
+        se = oracles.tilted_mean_h_se(pool_k4.b, pool_k4.h, 0.0)
         assert abs(g_sigma(pool_k4, 0.0) - h) < 4 * se + 1e-6
 
     def test_finite_difference_of_log_likelihood(self, mixture_pool_k4, theta_lyme):

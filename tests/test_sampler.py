@@ -14,7 +14,7 @@ from kallele import (
     sample_selection,
 )
 from kallele import sampler
-from kallele.density import g_sigma, g_sigma_se, pool_for_sigma_range
+from kallele.density import g_sigma, pool_for_sigma_range
 from kallele.sampler import _selection_arrays, write_samples_jsonl
 
 import oracles
@@ -67,7 +67,7 @@ class TestSampleSelection:
         theta = MutationParams.symmetric(4.8, 4)
         rej, r1 = sample_selection(theta, 20.0, 5000, seed=7)
         mh, r2 = sample_selection(
-            theta, 20.0, 5000, seed=8, config=SamplerConfig(force_method="independence-mh")
+            theta, 20.0, 5000, seed=8, config=SamplerConfig(sigma_switch=10.0)
         )
         assert r1.method == "rejection"
         assert r2.method == "independence-mh"
@@ -80,7 +80,7 @@ class TestSampleSelection:
         h = h_of(pts)
         pool = pool_for_sigma_range(theta, 200_000, 12, sigma_lo=0.0, sigma_hi=30.0)
         g = g_sigma(pool, 20.0)
-        se = math.hypot(h.std() / math.sqrt(h.size), g_sigma_se(pool, 20.0))
+        se = math.hypot(h.std() / math.sqrt(h.size), oracles.tilted_mean_h_se(pool.b, pool.h, 20.0))
         assert abs(h.mean() - g) < 4 * se
 
     def test_concentration_increases_with_sigma(self):
@@ -122,9 +122,8 @@ class TestSampleSelection:
         monkeypatch.setattr(sampler, "MAX_REJECTION_PROPOSALS", 200_000)
         monkeypatch.setattr(sampler, "MIN_ACCEPTANCE", 1e-3)
         theta = MutationParams.symmetric(5.0, 10)
-        cfg = SamplerConfig(force_method="rejection")
         with pytest.raises(RejectionStarvedError, match="acceptance rate"):
-            sample_selection(theta, -40.0, 100, seed=3, config=cfg)
+            sampler._rejection_arrays(theta, -40.0, 100, 3)
 
     def test_rejection_that_cannot_finish_stops_early(self, monkeypatch):
         # acceptance about 0.10, far above MIN_ACCEPTANCE: after the first
@@ -132,9 +131,8 @@ class TestSampleSelection:
         # missing need some 160k more proposals
         monkeypatch.setattr(sampler, "MAX_REJECTION_PROPOSALS", 10_000)
         theta = MutationParams.symmetric(4.8, 4)
-        cfg = SamplerConfig(force_method="rejection")
         with pytest.raises(RejectionStarvedError, match="acceptance rate .* would need about"):
-            sample_selection(theta, 35.1, 20_000, seed=3, config=cfg)
+            sample_selection(theta, 35.1, 20_000, seed=3)
 
     def test_deterministic_given_seed(self):
         theta = MutationParams.symmetric(4.8, 4)

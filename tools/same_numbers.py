@@ -19,10 +19,13 @@ beyond the other and at both unbounded fringes, the CSVs of a
 ``sampling_dist``, a ``bootstrap_hist``, an ``mle_curve`` and a
 ``cdf_panel`` study, single-component pools' base log-weights and proposal
 log-densities, the log-normalizer and the log-likelihood under an
-overdominance and a general-matrix model, the joint MLE, the exact CI and
+overdominance and a general-matrix model, the pool passes (the CDF at four
+h values, ``tilt``'s fields, ``g_sigma``, the log-normalizer and the
+log-likelihood) over 121 signed sigmas from -1e4 to 1e4 on a plain and a
+mixture pool, the joint MLE, the exact CI and
 the CI pool's arrays on both bundled datasets, and a joint (theta, sigma)
 chain and a fixed-theta chain with their summaries.  Wall time on a 2-vCPU
-Xeon: about 8 s.
+Xeon: about 12 s.
 """
 
 from __future__ import annotations
@@ -42,10 +45,12 @@ from kallele import cli, inference
 from kallele.density import (
     build_mixture_pool,
     build_pool,
+    cdf_homozygosity,
     g_sigma,
     log_likelihood,
     log_normalizer,
     pool_for_sigma_range,
+    tilt,
 )
 from kallele.sampler import SamplerConfig, sample_neutral, sample_selection, write_samples_jsonl
 from kallele.study import StudySpec, run_study
@@ -179,6 +184,29 @@ def likelihood() -> None:
         _show(f"log_normalizer and log_likelihood {label}", values)
 
 
+def passes() -> None:
+    # Each pool pass on a signed sigma grid through 0 out to the saturated
+    # ends at +-1e4, on a plain pool and on a mixture pool; tilt also with
+    # the base weights of another theta, as the joint MLE passes them.
+    theta = MutationParams.symmetric(4.8, 4)
+    sigmas = [float(s) for s in np.concatenate([-np.logspace(4, -2, 60), [0.0], np.logspace(-2, 4, 60)])]
+    x = parse_frequencies("lyme")
+    for label, pool in (
+        ("plain", build_pool(theta, None, 100_000, 43)),
+        ("mixture", build_mixture_pool(theta, (1.2, 0.4, 2.0, 8.0), 100_000, 43)),
+    ):
+        for hv in (0.26, 0.3, 0.45, 0.9):
+            h = Homozygosity(hv, 4)
+            _show(f"cdf_homozygosity {label} h={hv}", [repr(cdf_homozygosity(pool, s, h)) for s in sigmas])
+        b = pool.base_log_weights_for(MutationParams.symmetric(6.0, 4))
+        _show(f"tilt {label}", [repr(tilt(pool, s)) for s in sigmas], [repr(tilt(pool, s, b)) for s in sigmas])
+        _show(f"g_sigma {label}", [repr(g_sigma(pool, s)) for s in sigmas])
+        models = [SelectionModel.overdominance(s) for s in sigmas]
+        _show(f"log_normalizer {label}", [repr(log_normalizer(pool, m)) for m in models])
+        values = [repr(log_likelihood(x, MutationParams.symmetric(t, 4), m, pool)) for m in models for t in (4.8, 6.0)]
+        _show(f"log_likelihood {label}", values)
+
+
 def mle_and_ci() -> None:
     for label, theta in (("lyme", 4.8), ("kir", 6.24)):
         x = parse_frequencies(label)
@@ -208,6 +236,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         study(tmp)
     likelihood()
+    passes()
     mle_and_ci()
     posterior()
     return 0
