@@ -25,6 +25,7 @@ from . import __version__
 from .core import FrequencyParseError, MutationParams, load_dataset, homozygosity
 from .density import pool_for_sigma_range
 from .inference import (
+    DEFAULT_PRIOR_BOUNDS,
     _check_level,
     BootstrapConfig,
     MonotoneCiConfig,
@@ -40,11 +41,6 @@ from .sampler import RejectionStarvedError, _neutral_arrays, _selection_arrays, 
 from .study import StudySchemaError, StudySpec, run_study
 
 __all__ = ["main"]
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -142,10 +138,8 @@ def _load_single_dataset(source: str):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.time()
     seed = _resolve_seed(args.seed)
-    pool_size = args.pool_size if args.pool_size is not None else _env_int("KALLELE_POOL_SIZE", 100_000)
-    threads = args.threads if args.threads is not None else _env_int("KALLELE_THREADS", 1)
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.chain_csv and args.method != "posterior":
         raise ValueError(f"--chain-csv needs --method posterior, got --method {args.method}")
     if args.method in ("bootstrap", "posterior"):
@@ -167,13 +161,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     flags = {
         "method": args.method,
         "seed": seed,
-        "pool_size": pool_size,
-        "threads": threads,
+        "pool_size": args.pool_size,
+        "threads": args.threads,
     }
     outputs: dict = {}
 
     if args.method == "mle":
-        result = mle_joint(point, seed, JointMleConfig(pool_n=pool_size))
+        result = mle_joint(point, seed, JointMleConfig(pool_n=args.pool_size))
         outputs["mle"] = result.as_dict()
         print(f"analyze[{label}] joint MLE: theta_hat={_fmt(result.theta_hat)} "
               f"sigma_hat={_fmt(result.sigma_hat)} status={result.status}")
@@ -184,7 +178,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.fix_theta is not None:
             theta = float(args.fix_theta)
         else:
-            pilot = mle_joint(point, seed, JointMleConfig(pool_n=pool_size))
+            pilot = mle_joint(point, seed, JointMleConfig(pool_n=args.pool_size))
             if pilot.theta_hat is None:
                 print(f"analyze[{label}]: joint MLE did not produce a theta "
                       f"(status={pilot.status}); pass --fix-theta", file=sys.stderr)
@@ -196,7 +190,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         params = MutationParams.symmetric(theta, k)
         cfg = MonotoneCiConfig()
         pool = pool_for_sigma_range(
-            params, pool_size, seed, sigma_lo=cfg.sigma_range[0], sigma_hi=cfg.sigma_range[1]
+            params, args.pool_size, seed, sigma_lo=cfg.sigma_range[0], sigma_hi=cfg.sigma_range[1]
         )
         interval = monotone_ci(h, pool, args.alpha / 2.0, args.alpha / 2.0, cfg)
         outputs["interval"] = interval.as_dict()
@@ -209,7 +203,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.fix_theta is not None and args.sigma is not None:
             theta, sigma = float(args.fix_theta), float(args.sigma)
         else:
-            pilot = mle_joint(point, seed, JointMleConfig(pool_n=pool_size))
+            pilot = mle_joint(point, seed, JointMleConfig(pool_n=args.pool_size))
             if not pilot.converged or pilot.theta_hat is None:
                 print(f"analyze[{label}]: joint MLE status={pilot.status}; "
                       "pass --fix-theta and --sigma to bootstrap explicitly", file=sys.stderr)
@@ -219,7 +213,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"analyze[{label}]: bootstrapping at MLE (theta={theta:.4g}, sigma={sigma:.4g})")
         flags.update({"fix_theta": theta, "sigma": sigma, "m": args.m, "level": args.level})
         cfg = BootstrapConfig(
-            level=args.level, pool_n=pool_size, workers=threads, joint_refit=args.joint_refit
+            level=args.level, pool_n=args.pool_size, workers=args.threads, joint_refit=args.joint_refit
         )
         result = bootstrap(theta, sigma, k, args.m, seed, cfg)
         outputs["bootstrap"] = result.as_dict()
@@ -233,7 +227,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         bounds = (tuple(args.prior_theta), tuple(args.prior_sigma))
         cfg = PosteriorConfig(
             theta_fixed=(float(args.fix_theta) if args.fix_theta is not None else None),
-            pool_n=pool_size,
+            pool_n=args.pool_size,
         )
         chain = posterior_sample(point, bounds, args.chain_length, seed, cfg)
         interval, mode = posterior_summary(chain, args.level)
@@ -314,13 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--m", type=int, default=1000, help="bootstrap replicates")
     ana.add_argument("--sigma", type=float, default=None, help="generator sigma for bootstrap")
     ana.add_argument("--chain-length", type=int, default=100_000)
-    ana.add_argument("--prior-theta", type=float, nargs=2, default=[0.0, 50.0])
-    ana.add_argument("--prior-sigma", type=float, nargs=2, default=[0.0, 1000.0])
+    ana.add_argument("--prior-theta", type=float, nargs=2, default=list(DEFAULT_PRIOR_BOUNDS[0]))
+    ana.add_argument("--prior-sigma", type=float, nargs=2, default=list(DEFAULT_PRIOR_BOUNDS[1]))
     ana.add_argument("--fix-theta", type=float, default=None)
     ana.add_argument("--joint-refit", action="store_true", help="re-estimate theta per bootstrap replicate")
-    ana.add_argument("--pool-size", type=int, default=None)
+    ana.add_argument("--pool-size", type=int, default=100_000)
     ana.add_argument("--seed", type=int, default=None)
-    ana.add_argument("--threads", type=int, default=None)
+    ana.add_argument("--threads", type=int, default=1)
     ana.add_argument("--chain-csv", default=None, help="dump the posterior chain to CSV")
     ana.add_argument("--out", default=None, help="write the JSON run record here")
     ana.set_defaults(func=_cmd_analyze)

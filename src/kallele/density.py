@@ -59,11 +59,14 @@ __all__ = [
     "optimal_composition",
     "weighted_quantile",
     "DEFAULT_ESS_FLOOR",
-    "MIXTURE_SIGMA_THRESHOLD",
-    "DEFENSIVE_CONCENTRATIONS",
+    "MIN_SUPPORT",
 ]
 
 DEFAULT_ESS_FLOOR = 200.0
+# Data within the h-range of a pool's MIN_SUPPORT most extreme draws is
+# classified unbounded: an estimate hanging on a handful of draws is the
+# singularity showing through, not a number.
+MIN_SUPPORT = 10
 
 # Beyond this sigma a single proposal at a = theta/k starves; a defensive
 # mixture of concentrations keeps draws in the near-centroid region the
@@ -74,6 +77,11 @@ DEFENSIVE_CONCENTRATIONS = (2.0, 8.0)
 # populations; a sub-1 concentration supplies them.
 NEGATIVE_MIXTURE_THRESHOLD = 30.0
 VERTEX_CONCENTRATION = 0.4
+# optimal_composition's random interior starts (drawn from seed 0), iterations
+# per start and the projected-gradient norm at which a start stops.
+COMPOSITION_RANDOM_STARTS = 10
+COMPOSITION_MAX_ITER = 10_000
+COMPOSITION_GRAD_TOL = 1e-10
 
 _CHUNK = 1 << 14
 
@@ -149,18 +157,17 @@ class WeightedPool:
             raise ValueError("general per-allele reweighting requires a pool built with keep_draws=True")
         return _base_log_weights(theta, self.s, self.draws, self.proposal_log_density)
 
-    def support_margin(self, min_support: int = 10) -> tuple[float, float]:
-        """Width of the pool's lowest/highest ``min_support`` homozygosities.
+    def support_margin(self) -> tuple[float, float]:
+        """Width of the pool's lowest/highest ``MIN_SUPPORT`` homozygosities.
 
         Estimates inside these fringes hang on a handful of draws; the MLE
         solver classifies them as unbounded rather than reporting a number.
         """
-        j = min(max(int(min_support), 1), self.n) - 1
-        key = ("support_margin", j)
-        if key not in self._memo:
+        if "support_margin" not in self._memo:
+            j = min(MIN_SUPPORT, self.n) - 1
             part = np.partition(self.h, (j, self.n - 1 - j))
-            self._memo[key] = (float(part[j] - self.h_min), float(self.h_max - part[self.n - 1 - j]))
-        return self._memo[key]
+            self._memo["support_margin"] = (float(part[j] - self.h_min), float(self.h_max - part[self.n - 1 - j]))
+        return self._memo["support_margin"]
 
 
 def _dirichlet_logconst(alphas: np.ndarray) -> float:
@@ -312,19 +319,20 @@ def pool_for_sigma_range(
     sigma_lo: float = 0.0,
     sigma_hi: float = 0.0,
     keep_draws: bool = False,
+    centers: tuple[float, ...] | None = None,
 ) -> WeightedPool:
     """Pool sized to the intensity range a caller intends to query.
 
-    Inside the mixture thresholds a plain pool at a = theta/k suffices.
-    Strong heterozygote advantage (large positive sigma) concentrates the
-    target near the centroid, so high concentrations are mixed in; strong
-    homozygote advantage (sigma well below zero) concentrates it near the
-    vertices, which a sub-1 concentration supplies.
+    It mixes ``centers``, the concentrations it is aimed at (default
+    a = theta/k), with those the range needs.  Strong heterozygote advantage
+    (large positive sigma) concentrates the target near the centroid, so high
+    concentrations are mixed in; strong homozygote advantage (sigma well
+    below zero) concentrates it near the vertices, which a sub-1
+    concentration supplies.
     """
     if sigma_lo > sigma_hi:
         raise ValueError("sigma_lo must not exceed sigma_hi")
-    base = theta.total / theta.k
-    concs = [base]
+    concs = list(centers) if centers is not None else [theta.total / theta.k]
     if sigma_hi > MIXTURE_SIGMA_THRESHOLD:
         concs.extend(a for a in DEFENSIVE_CONCENTRATIONS if a not in concs)
     if sigma_lo < -NEGATIVE_MIXTURE_THRESHOLD and VERTEX_CONCENTRATION not in concs:
@@ -567,20 +575,13 @@ def _project_to_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y + lam, 0.0)
 
 
-def optimal_composition(
-    model: SelectionModel,
-    k: int,
-    seed: int = 0,
-    n_random_starts: int = 10,
-    max_iter: int = 10_000,
-    grad_tol: float = 1e-10,
-) -> OptimalComposition:
+def optimal_composition(model: SelectionModel, k: int) -> OptimalComposition:
     """Minimize x' S x over the closed simplex by multi-start projected gradient.
 
-    Starts from the centroid, every vertex, and random interior points: the
-    quadratic form need not be convex on the simplex for a general symmetric
-    matrix, and the centroid is a stationary point of the scalar model in
-    both sign regimes.
+    Starts from the centroid, every vertex, and ``COMPOSITION_RANDOM_STARTS``
+    random interior points: the quadratic form need not be convex on the
+    simplex for a general symmetric matrix, and the centroid is a stationary
+    point of the scalar model in both sign regimes.
     """
     m = model.matrix_array(k)
     if model.mode == "matrix" and m.shape[0] != k:
@@ -594,8 +595,8 @@ def optimal_composition(
 
     starts = [np.full(k, 1.0 / k)]
     starts.extend(np.eye(k))
-    rng = derive_rng(seed, 97)
-    for _ in range(n_random_starts):
+    rng = derive_rng(0, 97)
+    for _ in range(COMPOSITION_RANDOM_STARTS):
         g = rng.gamma(1.0, size=k)
         starts.append(g / g.sum())
 
@@ -603,12 +604,12 @@ def optimal_composition(
     for x0 in starts:
         x = x0.astype(np.float64).copy()
         fx = objective(x)
-        for _ in range(max_iter):
+        for _ in range(COMPOSITION_MAX_ITER):
             grad = 2.0 * (m @ x)
             z = _project_to_simplex(x - t0 * grad)
             step = z - x
             pg_norm = float(np.linalg.norm(step)) / t0
-            if pg_norm < grad_tol:
+            if pg_norm < COMPOSITION_GRAD_TOL:
                 break
             t = 1.0
             fz = objective(x + step)

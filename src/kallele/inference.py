@@ -36,16 +36,12 @@ from .core import (
 )
 from .density import (
     DEFAULT_ESS_FLOOR,
-    DEFENSIVE_CONCENTRATIONS,
-    MIXTURE_SIGMA_THRESHOLD,
-    NEGATIVE_MIXTURE_THRESHOLD,
     WeightedPool,
     Tilt,
     _cdf_logit,
     _log_z_tangent,
     _surface,
     _surface_base,
-    build_mixture_pool,
     pool_for_sigma_range,
     tilt,
 )
@@ -88,10 +84,6 @@ CI_TOL = 1e-6
 # joint_refit bootstrap.
 JOINT_REFIT_POOL_N = 20_000
 
-# Data within the h-range of the pool's MIN_SUPPORT most extreme draws is
-# classified unbounded: an estimate hanging on a handful of draws is the
-# singularity showing through, not a number.
-MIN_SUPPORT = 10
 # A bootstrap with more unbounded replicates than this fraction has a heavy
 # tail: its standard error is reported as undefined.
 HEAVY_TAIL_FRACTION = 0.2
@@ -111,8 +103,8 @@ ACCEPTANCE_FLAG = 0.02
 # the highest tangent plane of log Z among the last TANGENT_RING full passes.
 TANGENT_MARGIN = 1e-6
 TANGENT_RING = 64
-# The joint MLE's pilot pool: _LADDER_RUNGS concentrations geometric over the
-# theta box plus the defensive ones, with 1/_PILOT_SHARE of pool_n draws; its
+# The joint MLE's pilot pool is centered on _LADDER_RUNGS concentrations
+# geometric over the theta box, with 1/_PILOT_SHARE of pool_n draws; its
 # Newton search starts from theta = _THETA_START, sigma = 0.
 _LADDER_RUNGS = 6
 _PILOT_SHARE = 5
@@ -375,7 +367,7 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) 
     branch on ``status``.
     """
     hv = float(h.value)
-    margin_lo, margin_hi = pool.support_margin(MIN_SUPPORT)
+    margin_lo, margin_hi = pool.support_margin()
     if hv <= pool.h_min + margin_lo:
         return MleResult(
             sigma_hat=math.inf,
@@ -482,13 +474,6 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) 
     )
 
 
-def _profile_pool(params: MutationParams, concentrations: tuple[float, ...], seed: int, n: int) -> WeightedPool:
-    # Defensive concentrations join those aimed at theta: a lone a = theta/k proposal at
-    # small theta draws only near-vertex populations, blind to moderate homozygosities.
-    concs = concentrations + tuple(c for c in DEFENSIVE_CONCENTRATIONS if c not in concentrations)
-    return build_mixture_pool(params, concs, n, seed, keep_draws=False)
-
-
 def _maximize_surface(
     pool: WeightedPool,
     x: SimplexPoint,
@@ -554,15 +539,20 @@ def mle_joint(
     theta_box = config.theta_bounds
     sigma_box = (-SIGMA_CAP, SIGMA_CAP)
     rungs = tuple(float(a) for a in np.geomspace(*theta_box, _LADDER_RUNGS) / k)
-    pilot = _profile_pool(MutationParams.symmetric(_THETA_START, k), rungs, seed, max(config.pool_n // _PILOT_SHARE, 1))
-    margin_lo, margin_hi = pilot.support_margin(MIN_SUPPORT)
+    # Up to SIGMA_CAP, the defensive concentrations join those aimed at theta: a lone a = theta/k
+    # proposal at small theta draws only near-vertex populations, blind to moderate homozygosities.
+    pilot_n = max(config.pool_n // _PILOT_SHARE, 1)
+    pilot_params = MutationParams.symmetric(_THETA_START, k)
+    pilot = pool_for_sigma_range(pilot_params, pilot_n, seed, sigma_hi=SIGMA_CAP, centers=rungs)
+    margin_lo, margin_hi = pilot.support_margin()
     if not pilot.h_min + margin_lo < h.value < pilot.h_max - margin_hi:
         # The data sit at the singular composition itself, not in one theta's blind spot.
         inner = mle_sigma(h, pilot)
         return replace(inner, notes=inner.notes + ("likelihood unbounded in sigma at every theta",))
     theta, sigma = _maximize_surface(pilot, x, (_THETA_START, 0.0), theta_box, sigma_box)
 
-    pool = _profile_pool(MutationParams.symmetric(theta, k), (theta / k,), _subseed(seed, 1), config.pool_n)
+    params = MutationParams.symmetric(theta, k)
+    pool = pool_for_sigma_range(params, config.pool_n, _subseed(seed, 1), sigma_hi=SIGMA_CAP)
     theta_hat, _ = _maximize_surface(pool, x, (theta, sigma), theta_box, sigma_box)
     inner = mle_sigma(h, pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta_hat, k)))
     notes = inner.notes
@@ -783,14 +773,15 @@ def posterior_sample(
         theta_pilot = pilot.theta_hat if pilot.theta_hat is not None else 0.5 * (theta_box[0] + theta_box[1])
 
     # The chain's likelihood pool: defensive mixture around the pilot theta,
-    # covering both sign regimes the prior box allows.  Pilot estimates on it
-    # locate and scale the sigma proposal.
+    # covering both sign regimes over +/-SIGMA_CAP, the range its pilot
+    # mle_sigma brackets over, whatever the prior box.  Pilot estimates on
+    # it locate and scale the sigma proposal.
     pool = pool_for_sigma_range(
         MutationParams.symmetric(theta_pilot, k),
         config.pool_n,
         _subseed(seed, 6),
-        sigma_lo=min(sigma_box[0], -2.0 * NEGATIVE_MIXTURE_THRESHOLD),
-        sigma_hi=max(sigma_box[1], 2.0 * MIXTURE_SIGMA_THRESHOLD),
+        sigma_lo=-SIGMA_CAP,
+        sigma_hi=SIGMA_CAP,
     )
     pilot_mle = mle_sigma(h, pool)
     if pilot_mle.converged:

@@ -153,18 +153,6 @@ def _matched_concentration(theta: MutationParams, sigma: float, seed: int) -> fl
     return float(np.clip(a, *PROPOSAL_CONCENTRATION_RANGE))
 
 
-def _vertex_mixture_mean_h(alphas: np.ndarray, boost: float) -> float:
-    """E[sum X_i^2] under the uniform mixture of one-coordinate-boosted Dirichlets."""
-    k = alphas.size
-    total = alphas.sum() + boost
-    acc = 0.0
-    for j in range(k):
-        a = alphas.copy()
-        a[j] += boost
-        acc += float((a * (a + 1.0)).sum() / (total * (total + 1.0)))
-    return acc / k
-
-
 def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int) -> float:
     """Boost A for the vertex-mixture proposal (1/k) sum_j Dir(theta + A e_j).
 
@@ -172,24 +160,24 @@ def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int) -> flo
     non-dominant coordinates still neutral-Dirichlet-shaped; boosting one
     neutral coordinate reproduces exactly that local structure.  A is
     moment-matched so the proposal's mean homozygosity hits the estimated
-    target mean.
+    target mean g, clamped to [neutral mean + 1e-9, 0.995].  With
+    T = sum alpha and Q = sum alpha (alpha + 1), that mean is
+
+        (Q + A (2T/k + 1) + A^2) / ((T + A) (T + A + 1)),
+
+    so A is the one positive root of
+    (1 - g) A^2 + (2T/k + 1 - g (2T + 1)) A + Q - g T (T + 1) = 0, whose
+    constant term is negative for g above the neutral mean Q / (T (T + 1)).
+    The root is taken in the form that adds two terms of one sign.
     """
     alphas = theta.alphas()
-    g_hat = min(max(_tuning_mean_h(theta, sigma, seed), _vertex_mixture_mean_h(alphas, 1e-9) + 1e-9), 0.995)
-    lo, hi = 1e-9, 1e9
-    while _vertex_mixture_mean_h(alphas, hi) < g_hat:
-        hi *= 10.0
-        if hi > 1e15:
-            break
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if _vertex_mixture_mean_h(alphas, mid) < g_hat:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-9:
-            break
-    return math.sqrt(lo * hi)
+    t = float(alphas.sum())
+    q = float((alphas * (alphas + 1.0)).sum())
+    g = min(max(_tuning_mean_h(theta, sigma, seed), q / (t * (t + 1.0)) + 1e-9), 0.995)
+    b = 2.0 * t / alphas.size + 1.0 - g * (2.0 * t + 1.0)
+    c = q - g * t * (t + 1.0)
+    root = math.sqrt(b * b - 4.0 * (1.0 - g) * c)
+    return -2.0 * c / (b + root) if b >= 0.0 else (root - b) / (2.0 * (1.0 - g))
 
 
 def _mh_arrays(

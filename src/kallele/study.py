@@ -24,6 +24,8 @@ from .density import (
     weighted_quantile,
 )
 from .inference import (
+    DEFAULT_PRIOR_BOUNDS,
+    SIGMA_CAP,
     BootstrapConfig,
     BootstrapResult,
     PosteriorConfig,
@@ -33,7 +35,7 @@ from .inference import (
     posterior_summary,
     _subseed,
 )
-from .sampler import SamplerConfig, _selection_arrays
+from .sampler import _selection_arrays
 
 __all__ = [
     "StudySpec",
@@ -93,7 +95,7 @@ class StudySpec:
         )
 
 
-def mle_curve(k: int, theta: float, h_grid: list[float], pool: WeightedPool) -> list[dict]:
+def mle_curve(k: int, h_grid: list[float], pool: WeightedPool) -> list[dict]:
     """The conditional MLE as a function of observed homozygosity.
 
     On a shared pool the emitted curve is non-increasing in h, diverging as
@@ -118,7 +120,6 @@ def instability_probability(
     epsilon: float,
     n_per_sigma: int,
     seed: int,
-    sampler_config: SamplerConfig | None = None,
 ) -> list[dict]:
     """Probability of landing in an instability region, by selection regime.
 
@@ -136,12 +137,8 @@ def instability_probability(
     homo_lo = 1.0 - epsilon
     rows = []
     for i, sigma in enumerate(sigma_grid):
-        het_draws, het_rep = _selection_arrays(
-            params, float(sigma), n_per_sigma, _subseed(seed, 10, i), sampler_config
-        )
-        hom_draws, hom_rep = _selection_arrays(
-            params, -float(sigma), n_per_sigma, _subseed(seed, 11, i), sampler_config
-        )
+        het_draws, het_rep = _selection_arrays(params, float(sigma), n_per_sigma, _subseed(seed, 10, i))
+        hom_draws, hom_rep = _selection_arrays(params, -float(sigma), n_per_sigma, _subseed(seed, 11, i))
         het_h = np.einsum("ij,ij->i", het_draws, het_draws)
         hom_h = np.einsum("ij,ij->i", hom_draws, hom_draws)
         rows.append(
@@ -268,9 +265,9 @@ def run_study(spec: StudySpec) -> dict:
         params = MutationParams.symmetric(theta, k)
         pool = pool_for_sigma_range(
             params, int(num("pool_n", 100_000)), _subseed(spec.seed, 1),
-            sigma_lo=-1e5, sigma_hi=1e5,
+            sigma_lo=-SIGMA_CAP, sigma_hi=SIGMA_CAP,
         )
-        rows = mle_curve(k, theta, list(grid), pool)
+        rows = mle_curve(k, list(grid), pool)
         path = os.path.join(spec.out, "mle_curve.csv")
         _write_csv(path, rows, ["h", "sigma_hat", "status"])
         outputs["table"] = path
@@ -334,12 +331,13 @@ def run_study(spec: StudySpec) -> dict:
             theta_fixed=(float(num("fix_theta")) if p.get("fix_theta") is not None else None),
             pool_n=int(num("pool_n", 100_000)),
         )
-        bounds = None
-        if "prior_theta" in p and "prior_sigma" in p:
-            for name in ("prior_theta", "prior_sigma"):
+        # A side the spec leaves out takes its default; a given side is kept as passed.
+        bounds = []
+        for name, default in zip(("prior_theta", "prior_sigma"), DEFAULT_PRIOR_BOUNDS):
+            if name in p:
                 _number_list(p, name, spec.kind, length=2)
-            bounds = (tuple(p["prior_theta"]), tuple(p["prior_sigma"]))
-        chain = posterior_sample(point, bounds, int(num("chain_length")), spec.seed, cfg)
+            bounds.append(tuple(p[name]) if name in p else default)
+        chain = posterior_sample(point, tuple(bounds), int(num("chain_length")), spec.seed, cfg)
         interval, mode = posterior_summary(chain, float(num("level", 0.95)))
         path = os.path.join(spec.out, "posterior_chain.csv")
         chain.to_csv(path)

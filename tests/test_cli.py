@@ -407,13 +407,3 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "No such file or directory" in err and str(out.parent) in err
-
-
-class TestEnvOverrides:
-    def test_pool_size_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("KALLELE_POOL_SIZE", "8000")
-        code = run_cli("analyze", "--data", "lyme", "--method", "monotone-ci",
-                       "--fix-theta", "4.8", "--seed", "2", "--out", str(tmp_path / "r.json"))
-        assert code == 0
-        record = json.loads((tmp_path / "r.json").read_text())
-        assert record["flags"]["pool_size"] == 8000

@@ -488,3 +488,12 @@ class TestPoolPolicy:
     def test_vertex_component_below(self, theta_lyme):
         pool = pool_for_sigma_range(theta_lyme, 1000, 1, sigma_lo=-100.0, sigma_hi=500.0)
         assert 0.4 in pool.concentrations
+
+    def test_centers_replace_theta_over_k(self, theta_lyme):
+        # the joint MLE's pilot aims at its ladder, and the range adds the rest
+        ladder = (0.5, 2.0, 3.0)
+        pool = pool_for_sigma_range(theta_lyme, 1000, 1, sigma_hi=500.0, centers=ladder)
+        assert pool.concentrations == (0.5, 2.0, 3.0, 8.0)
+        pool = pool_for_sigma_range(theta_lyme, 1000, 1, sigma_lo=-100.0, sigma_hi=500.0, centers=(0.4,))
+        assert pool.concentrations == (0.4, 2.0, 8.0)
+        assert pool_for_sigma_range(theta_lyme, 1000, 1, centers=ladder).concentrations == ladder

@@ -137,9 +137,9 @@ class TestMleJoint:
 
         def counting_build(*args, **kwargs):
             builds.append(args)
-            return build_mixture_pool(*args, **kwargs)
+            return pool_for_sigma_range(*args, **kwargs)
 
-        monkeypatch.setattr(inference, "build_mixture_pool", counting_build)
+        monkeypatch.setattr(inference, "pool_for_sigma_range", counting_build)
         res = mle_joint(parse_frequencies("lyme"), seed=31, config=JointMleConfig(pool_n=6000))
         assert res.converged
         assert len(builds) == 2
@@ -161,7 +161,7 @@ class TestMleJoint:
         # the sigma-score is self-normalized on the surface and in mle_sigma,
         # so the 2-D optimum's sigma is mle_sigma's root at its theta
         x = parse_frequencies("kir")
-        pool = inference._profile_pool(MutationParams.symmetric(6.2, 8), (6.2 / 8,), 7, 100_000)
+        pool = pool_for_sigma_range(MutationParams.symmetric(6.2, 8), 100_000, 7, sigma_hi=inference.SIGMA_CAP)
         theta, sigma = inference._maximize_surface(pool, x, (5.0, 0.0), (0.1, 50.0), (-1e5, 1e5))
         res = mle_sigma(homozygosity(x), pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta, 8)))
         assert res.converged
@@ -170,7 +170,7 @@ class TestMleJoint:
 
     def test_fixed_coordinate_stays_fixed(self):
         x = parse_frequencies("lyme")
-        pool = inference._profile_pool(MutationParams.symmetric(4.8, 4), (1.2,), 7, 20_000)
+        pool = pool_for_sigma_range(MutationParams.symmetric(4.8, 4), 20_000, 7, sigma_hi=inference.SIGMA_CAP)
         theta, sigma = inference._maximize_surface(pool, x, (4.8, 0.0), (4.8, 4.8), (0.0, 20.0))
         assert theta == 4.8
         assert sigma == 20.0  # sigma-hat (about 34) lies beyond the box
@@ -435,8 +435,7 @@ class TestPosterior:
 
             return counted
 
-        for name in ("build_mixture_pool", "pool_for_sigma_range"):
-            monkeypatch.setattr(inference, name, counting(getattr(inference, name)))
+        monkeypatch.setattr(inference, "pool_for_sigma_range", counting(inference.pool_for_sigma_range))
         chain = posterior_sample(
             parse_frequencies("lyme"),
             chain_length=1600,

@@ -163,6 +163,40 @@ class TestSampleSelection:
         assert 0.0 < report.acceptance_rate <= 1.0
 
 
+def _mean_h_by_component(alphas: np.ndarray, boost: float) -> float:
+    """E[sum X_i^2] under (1/k) sum_j Dir(alphas + boost e_j), one component at a time."""
+    total = alphas.sum() + boost
+    means = []
+    for j in range(alphas.size):
+        a = alphas.copy()
+        a[j] += boost
+        means.append((a * (a + 1.0)).sum() / (total * (total + 1.0)))
+    return float(np.mean(means))
+
+
+class TestVertexBoost:
+    # theta/k from 0.125 to 5: below and above 1
+    @pytest.mark.parametrize("theta, k", [(0.5, 4), (4.8, 4), (5.0, 10), (20.0, 4)])
+    def test_closed_form_hits_the_target_mean(self, monkeypatch, theta, k):
+        params = MutationParams.symmetric(theta, k)
+        alphas = params.alphas()
+        neutral = _mean_h_by_component(alphas, 0.0)
+        for g in np.linspace(neutral, 0.995, 9)[1:]:
+            monkeypatch.setattr(sampler, "_tuning_mean_h", lambda *args, g=g: float(g))
+            boost = sampler._matched_vertex_boost(params, -100.0, 1)
+            assert boost > 0.0
+            assert _mean_h_by_component(alphas, boost) == pytest.approx(g, rel=1e-12)
+            # The mean falls, then rises through g once: bisect in log A for the crossing.
+            lo, hi = 1e-9, 1e15
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                if _mean_h_by_component(alphas, mid) < g:
+                    lo = mid
+                else:
+                    hi = mid
+            assert boost == pytest.approx(math.sqrt(lo * hi), rel=1e-9)
+
+
 class TestSamplesJsonl:
     def test_write(self, tmp_path):
         theta = MutationParams.symmetric(3.0, 3)

@@ -30,25 +30,25 @@ def curve_pool():
 class TestMleCurve:
     def test_monotone_nonincreasing(self, curve_pool):
         grid = np.linspace(0.26, 0.5, 40).tolist()
-        rows = mle_curve(4, 4.8, grid, curve_pool)
+        rows = mle_curve(4, grid, curve_pool)
         finite = [r["sigma_hat"] for r in rows if r["status"] == "converged"]
         sigmas = [r["sigma_hat"] for r in rows]
         assert len(finite) == len(rows)
         assert all(a >= b for a, b in zip(sigmas, sigmas[1:]))
 
     def test_statuses_preserved_near_floor(self, curve_pool):
-        rows = mle_curve(4, 4.8, [0.2500001, 0.3], curve_pool)
+        rows = mle_curve(4, [0.2500001, 0.3], curve_pool)
         assert rows[0]["status"] == "unbounded_above"
         assert rows[0]["sigma_hat"] == math.inf
         assert rows[1]["status"] == "converged"
 
     def test_rejects_grid_below_floor(self, curve_pool):
         with pytest.raises(ValueError, match="1/k"):
-            mle_curve(4, 4.8, [0.2, 0.3], curve_pool)
+            mle_curve(4, [0.2, 0.3], curve_pool)
 
     def test_rejects_unsorted(self, curve_pool):
         with pytest.raises(ValueError, match="sorted"):
-            mle_curve(4, 4.8, [0.4, 0.3], curve_pool)
+            mle_curve(4, [0.4, 0.3], curve_pool)
 
 
 class TestSamplingDistribution:
@@ -284,6 +284,26 @@ class TestRunStudy:
         summary = json.loads((tmp_path / "post" / "posterior_summary.json").read_text())
         assert summary["chain"]["theta_fixed"] == 4.8
         assert summary["credible_interval"]["level"] == 0.95
+
+    @pytest.mark.parametrize(
+        "side, expected",
+        [
+            ({"prior_sigma": [-200, 1000]}, [[0.0, 50.0], [-200, 1000]]),
+            ({"prior_theta": [1, 10]}, [[1, 10], [0.0, 1000.0]]),
+        ],
+    )
+    def test_posterior_hist_keeps_a_lone_prior_side(self, tmp_path, side, expected):
+        # the side left out takes its default, as the CLI's flags do
+        spec = StudySpec(
+            kind="posterior_hist",
+            parameters={"data": "lyme", "chain_length": 2100, "fix_theta": 4.8, "pool_n": 5000, **side},
+            seed=3,
+            out=str(tmp_path / "post"),
+        )
+        run_study(spec)
+        summary = json.loads((tmp_path / "post" / "posterior_summary.json").read_text())
+        assert summary["chain"]["prior_bounds"] == expected
+        assert summary["chain"]["proposal_spec"]["sigma"]["truncated_to"] == expected[1]
 
     def test_bootstrap_hist_study(self, tmp_path):
         spec = StudySpec(

@@ -24,8 +24,11 @@ h values, ``tilt``'s fields, ``g_sigma``, the log-normalizer and the
 log-likelihood) over 121 signed sigmas from -1e4 to 1e4 on a plain and a
 mixture pool, the joint MLE, the exact CI and
 the CI pool's arrays on both bundled datasets, and a joint (theta, sigma)
-chain and a fixed-theta chain with their summaries.  Wall time on a 2-vCPU
-Xeon: about 12 s.
+chain and a fixed-theta chain with their summaries.  Every pool the joint
+MLEs and the chains build is hashed too (its h, s, base log-weights,
+proposal log-density and concentrations), caught by wrapping
+``build_mixture_pool`` in every kallele module that holds it, wherever the
+pool policy calls it from.  Wall time on a 2-vCPU Xeon: about 12 s.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import tempfile
 import numpy as np
 
 from kallele import Homozygosity, MutationParams, SelectionModel, homozygosity, parse_frequencies
-from kallele import cli, inference
+from kallele import cli, density, inference
 from kallele.density import (
     build_mixture_pool,
     build_pool,
@@ -71,6 +74,32 @@ def _digest(*parts) -> str:
 
 def _show(name: str, *parts) -> None:
     print(f"{_digest(*parts)}  {name}", flush=True)
+
+
+@contextlib.contextmanager
+def _built_pools():
+    """Yield a list that collects every pool ``build_mixture_pool`` builds in the block."""
+    original = density.build_mixture_pool
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    holders = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "kallele" and getattr(m, "build_mixture_pool", None) is original]
+    for module in holders:
+        module.build_mixture_pool = recording
+    try:
+        yield built
+    finally:
+        for module in holders:
+            module.build_mixture_pool = original
+
+
+def _show_pools(label: str, pools) -> None:
+    for i, pool in enumerate(pools):
+        _show(f"{label} pool {i}", pool.h, pool.s, pool.b, pool.proposal_log_density, list(pool.concentrations))
 
 
 def simulate(tmp: str) -> None:
@@ -210,8 +239,10 @@ def passes() -> None:
 def mle_and_ci() -> None:
     for label, theta in (("lyme", 4.8), ("kir", 6.24)):
         x = parse_frequencies(label)
-        mle = inference.mle_joint(x, 5, inference.JointMleConfig(pool_n=100_000))
+        with _built_pools() as built:
+            mle = inference.mle_joint(x, 5, inference.JointMleConfig(pool_n=100_000))
         _show(f"mle_joint {label}", repr(mle))
+        _show_pools(f"mle_joint {label}", built)
         pool = pool_for_sigma_range(MutationParams.symmetric(theta, x.k), 200_000, 5, sigma_lo=-500.0, sigma_hi=2000.0)
         _show(f"ci pool {label}", pool.h, pool.s, pool.b, pool.proposal_log_density)
         iv = inference.monotone_ci(homozygosity(x), pool, 0.025, 0.025)
@@ -221,10 +252,12 @@ def mle_and_ci() -> None:
 def posterior() -> None:
     for label, length, theta_fixed in (("lyme", 2000, None), ("kir", 3500, 6.2)):
         cfg = inference.PosteriorConfig(pool_n=100_000, burn_in=500, theta_fixed=theta_fixed)
-        chain = inference.posterior_sample(parse_frequencies(label), None, length, 29, cfg)
+        with _built_pools() as built:
+            chain = inference.posterior_sample(parse_frequencies(label), None, length, 29, cfg)
         _show(f"posterior chain {label}", chain.thetas, chain.sigmas, chain.accepted, repr(chain.as_dict()))
         _show(f"posterior log_posterior {label}", chain.log_posterior)
         _show(f"posterior_summary {label}", repr(inference.posterior_summary(chain, 0.95)))
+        _show_pools(f"posterior {label}", built)
 
 
 def main() -> int:
