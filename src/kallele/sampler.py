@@ -166,9 +166,10 @@ def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int) -> flo
         (Q + A (2T/k + 1) + A^2) / ((T + A) (T + A + 1)),
 
     so A is the one positive root of
-    (1 - g) A^2 + (2T/k + 1 - g (2T + 1)) A + Q - g T (T + 1) = 0, whose
-    constant term is negative for g above the neutral mean Q / (T (T + 1)).
-    The root is taken in the form that adds two terms of one sign.
+    (1 - g) A^2 + (2T/k + 1 - g (2T + 1)) A + Q - g T (T + 1) = 0, taken in
+    the form that adds two terms of one sign.  Its constant term is negative
+    for g above the neutral mean Q / (T (T + 1)); where that mean exceeds the
+    cap (theta/k of a few thousandths), A is 1e-9, the neutral law.
     """
     alphas = theta.alphas()
     t = float(alphas.sum())
@@ -176,6 +177,8 @@ def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int) -> flo
     g = min(max(_tuning_mean_h(theta, sigma, seed), q / (t * (t + 1.0)) + 1e-9), 0.995)
     b = 2.0 * t / alphas.size + 1.0 - g * (2.0 * t + 1.0)
     c = q - g * t * (t + 1.0)
+    if c >= 0.0:
+        return 1e-9
     root = math.sqrt(b * b - 4.0 * (1.0 - g) * c)
     return -2.0 * c / (b + root) if b >= 0.0 else (root - b) / (2.0 * (1.0 - g))
 

@@ -196,6 +196,20 @@ class TestVertexBoost:
                     hi = mid
             assert boost == pytest.approx(math.sqrt(lo * hi), rel=1e-9)
 
+    @pytest.mark.parametrize("theta, k", [(0.005, 4), (0.005, 3)])
+    def test_neutral_mean_above_the_cap(self, monkeypatch, theta, k):
+        # The 0.995 cap puts g below the neutral mean: the mean never falls
+        # to g from above within the bisection's bracket, so both give 1e-9.
+        params = MutationParams.symmetric(theta, k)
+        assert _mean_h_by_component(params.alphas(), 0.0) > 0.995
+        monkeypatch.setattr(sampler, "_tuning_mean_h", lambda *args: 0.999)
+        assert sampler._matched_vertex_boost(params, -100.0, 1) == pytest.approx(1e-9, rel=1e-9)
+
+    def test_tiny_theta_vertex_route_samples(self):
+        draws, report = _selection_arrays(MutationParams.symmetric(0.005, 4), -100.0, 50, seed=2)
+        assert report.proposal_kind == "vertex-mixture"
+        assert np.all(np.isfinite(draws)) and np.allclose(draws.sum(axis=1), 1.0)
+
 
 class TestSamplesJsonl:
     def test_write(self, tmp_path):
