@@ -26,7 +26,9 @@ from .core import FrequencyParseError, MutationParams, load_dataset, homozygosit
 from .density import pool_for_sigma_range
 from .inference import (
     DEFAULT_PRIOR_BOUNDS,
+    _check_alphas,
     _check_level,
+    _check_replicates,
     BootstrapConfig,
     MonotoneCiConfig,
     PosteriorConfig,
@@ -142,9 +144,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.chain_csv and args.method != "posterior":
         raise ValueError(f"--chain-csv needs --method posterior, got --method {args.method}")
+    # Before any pilot fit or chain: a bad value would only surface after them.
     if args.method in ("bootstrap", "posterior"):
-        # Before any pilot fit or chain: a bad level would only surface after them.
         _check_level(args.level)
+    if args.method == "bootstrap":
+        _check_replicates(args.m)
+    if args.method == "monotone-ci":
+        _check_alphas(args.alpha / 2.0, args.alpha / 2.0)
     # The posterior's --chain-csv too, which would otherwise fail only after the chain.
     _check_writable(*(p for p in (args.out, args.chain_csv) if p))
     label, point = _load_single_dataset(args.data)

@@ -27,7 +27,7 @@ weighted fraction at or below an h, with its logit and slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -143,19 +143,24 @@ class WeightedPool:
     # function of the pool, so the memo never changes a result.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def base_log_weights_for(self, theta: MutationParams) -> np.ndarray:
-        """Base log-weights targeting another mutation parameter.
+    def reweighted(self, theta: MutationParams) -> WeightedPool:
+        """The pool as a pool of draws for another mutation parameter.
 
-        Symmetric targets need only the stored sufficient statistic; general
-        per-allele targets need the retained draws.
+        The view shares ``h``, ``s``, the proposal log-density, ``draws`` and
+        the support margins with this pool, and has its own base log-weights,
+        ``theta`` and memo.  Symmetric targets need only the stored
+        sufficient statistic; general per-allele targets need the retained
+        draws.
         """
         if theta == self.theta:
-            return self.b
+            return self
         if theta.k != self.k:
             raise ValueError(f"pool has k={self.k}, target has k={theta.k}")
         if theta.mode != "symmetric" and self.draws is None:
             raise ValueError("general per-allele reweighting requires a pool built with keep_draws=True")
-        return _base_log_weights(theta, self.s, self.draws, self.proposal_log_density)
+        view = replace(self, b=_base_log_weights(theta, self.s, self.draws, self.proposal_log_density), theta=theta)
+        view._memo["support_margin"] = self.support_margin()
+        return view
 
     def support_margin(self) -> tuple[float, float]:
         """Width of the pool's lowest/highest ``MIN_SUPPORT`` homozygosities.
@@ -461,14 +466,13 @@ def _surface(pool: WeightedPool, a: float, sigma: float) -> tuple[float, np.ndar
     return top + math.log(total / pool.n), mean, wd @ d.T / total - np.outer(c, c), total * total / float(w @ w)
 
 
-def tilt(pool: WeightedPool, sigma: float, b: np.ndarray | None = None) -> Tilt:
+def tilt(pool: WeightedPool, sigma: float) -> Tilt:
     """One pass over the pool at selection intensity sigma.
 
-    ``b`` replaces the pool's base log-weights (a reweighting to another
-    mutation rate).  The pass is pure and allocates its own work arrays, so
-    threads may share the pool.
+    The pass is pure and allocates its own work arrays, so threads may share
+    the pool.  For another mutation rate, pass ``pool.reweighted(theta)``.
     """
-    return _pass(pool.b if b is None else b, pool.h, sigma)
+    return _pass(pool.b, pool.h, sigma)
 
 
 def _selection_stat(pool: WeightedPool, model: SelectionModel) -> tuple[np.ndarray, float]:
@@ -502,13 +506,13 @@ def log_likelihood(
     """Log of the selected stationary density at the observed frequencies.
 
     The pool may target a different mutation parameter; it is reweighted
-    through its base weights.
+    to ``theta`` first.
     """
     if x.k != theta.k or x.k != pool.k:
         raise ValueError("dimension mismatch between data, mutation parameters and pool")
+    pool = pool.reweighted(theta)
     stat, sigma = _selection_stat(pool, model)
-    base = pool.base_log_weights_for(theta)
-    lz = _pass(base, stat, sigma).log_z - _pass(base, stat, 0.0).log_z
+    lz = _pass(pool.b, stat, sigma).log_z - _pass(pool.b, stat, 0.0).log_z
     return -quadratic_form(x, model) - lz + neutral_log_density(x, theta)
 
 

@@ -93,7 +93,7 @@ HEAVY_TAIL_FRACTION = 0.2
 # sigma < 0) that the reference analyses never sampled; widen explicitly to
 # explore it.
 DEFAULT_PRIOR_BOUNDS = ((0.0, 50.0), (0.0, 1000.0))
-# The Laplace sigma proposal's scale, in widths of the pilot 95% exact CI.
+# The Laplace sigma proposal's scale, in widths of the 95% exact CI at the mode's theta.
 PROPOSAL_SCALE_FACTOR = 2.0
 # A chain accepting less often than this carries a "proposal-mistuned" note.
 ACCEPTANCE_FLAG = 0.02
@@ -103,16 +103,15 @@ ACCEPTANCE_FLAG = 0.02
 # the highest tangent plane of log Z among the last TANGENT_RING full passes.
 TANGENT_MARGIN = 1e-6
 TANGENT_RING = 64
-# The joint MLE's pilot pool is centered on _LADDER_RUNGS concentrations
-# geometric over the theta box, with 1/_PILOT_SHARE of pool_n draws; its
-# Newton search starts from theta = _THETA_START, sigma = 0.
+# The joint MLE's pilot pool and a joint posterior chain's pool are centered
+# on _LADDER_RUNGS concentrations geometric over the theta box; the pilot has
+# 1/_PILOT_SHARE of pool_n draws.  Both Newton searches start from
+# theta = _THETA_START, sigma = 0.
 _LADDER_RUNGS = 6
 _PILOT_SHARE = 5
 _THETA_START = 5.0
 # A bound on one surface search's Newton iterations (from those starts, under ten).
 _NEWTON_ITERATIONS = 100
-# Draws of the joint MLE that places a posterior chain's pool at its pilot theta.
-_PILOT_POOL_N = 30_000
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ class PosteriorChain:
     """An MCMC trace over (theta, sigma) with full provenance.
 
     ``mode`` is the posterior mode (theta, sigma), found on the chain's own
-    likelihood pool when the chain was sampled.  ``pool_passes`` counts the
+    likelihood pool before the chain starts there.  ``pool_passes`` counts the
     chain's full likelihood passes, one per proposal the tangent bound could
     not reject plus one at the start.
     """
@@ -290,11 +289,11 @@ class GSigmaTable:
 
     ``mle_sigma`` bisects for its bracket over the points 0 and
     +/-BRACKET_INIT * 2^j (j >= -6) within +/-SIGMA_CAP; those points are
-    the same for every solve on one pool, so each solve on the pool's own
-    base weights takes its passes there from the table in the pool's memo,
-    and only the first solves pay for them.  Passes are made lazily, on
-    first use.  Results are identical with and without the memo; threads
-    may share it.
+    the same for every solve on one pool, so each solve takes its passes
+    there from the table in the pool's memo, and only the first solves pay
+    for them; a reweighted view has a table of its own.  Passes are made
+    lazily, on first use.  Results are identical with and without the memo;
+    threads may share it.
     """
 
     def __init__(self, pool: WeightedPool):
@@ -346,18 +345,17 @@ def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> 
     return sigma, t, lo, hi
 
 
-def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) -> MleResult:
-    """Conditional MLE of the selection intensity given the mutation rate.
+def mle_sigma(h: Homozygosity, pool: WeightedPool) -> MleResult:
+    """Conditional MLE of the selection intensity given the pool's mutation rate.
 
-    Solves g(sigma) = h on the exactly monotone empirical g; ``b`` replaces
-    the pool's base log-weights (a reweighting to another mutation rate).
-    One bisection over the ascending points 0 and +/-BRACKET_INIT * 2^j
-    (j >= -6) within +/-SIGMA_CAP finds adjacent points with
-    g(lo) >= h > g(hi), so the bracket is one octave (or 0 and
-    BRACKET_INIT / 64) and a point where g equals h is its lower end; a
-    root past either end is reported as outside the pool's range.  With
-    ``b`` left out, the passes at those points come from the pool's
-    ``GSigmaTable``, which every such solve on the pool shares.  Newton
+    Solves g(sigma) = h on the exactly monotone empirical g; for another
+    mutation rate, pass ``pool.reweighted(theta)``.  One bisection over the
+    ascending points 0 and +/-BRACKET_INIT * 2^j (j >= -6) within
+    +/-SIGMA_CAP finds adjacent points with g(lo) >= h > g(hi), so the
+    bracket is one octave (or 0 and BRACKET_INIT / 64) and a point where g
+    equals h is its lower end; a root past either end is reported as
+    outside the pool's range.  The passes at those points come from the
+    pool's ``GSigmaTable``, which every solve on the pool shares.  Newton
     steps (g' comes from the same pass) then run inside the bracket from an
     inverse Hermite interpolation of its ends, with bisection whenever a
     step leaves the bracket or fails to halve the step two before.  The
@@ -388,16 +386,10 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) 
             ess_at_solution=math.nan,
             notes=(f"h={hv:.6g} at or above pool ceiling {pool.h_max:.6g}-{margin_hi:.2g}",),
         )
-    if b is None:
-        table = pool._memo.get("g_sigma_table")
-        if table is None:
-            table = pool._memo.setdefault("g_sigma_table", GSigmaTable(pool))
-        at = table.at
-    else:
-        at = functools.partial(tilt, pool, b=b)
+    table = pool._memo.get("g_sigma_table") or pool._memo.setdefault("g_sigma_table", GSigmaTable(pool))
 
     def outside(cap: float, note: str) -> MleResult:
-        t = tilt(pool, cap, b)
+        t = tilt(pool, cap)
         return MleResult(
             sigma_hat=cap,
             theta_hat=None,
@@ -418,7 +410,7 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) 
     i, j = -1, len(points)
     while j - i > 1:
         mid = (i + j) // 2
-        t = at(points[mid])
+        t = table.at(points[mid])
         if t.g >= hv:
             i, t_lo = mid, t
         else:
@@ -443,11 +435,11 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, b: np.ndarray | None = None) 
         )
         if lo < cubic < hi:
             sigma = cubic
-    t = t_lo if sigma == lo else t_hi if sigma == hi else tilt(pool, sigma, b)
+    t = t_lo if sigma == lo else t_hi if sigma == hi else tilt(pool, sigma)
 
     # Safeguarded Newton from there.
     sigma, t, lo, hi = _newton(
-        lambda s: tilt(pool, s, b), lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL
+        functools.partial(tilt, pool), lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL
     )
 
     if t.ess < DEFAULT_ESS_FLOOR:
@@ -517,6 +509,11 @@ def _maximize_surface(
     return float(eta[0]) * k, float(eta[1])
 
 
+def _ladder(theta_box: tuple[float, float], k: int) -> tuple[float, ...]:
+    """The concentrations theta/k of _LADDER_RUNGS thetas geometric over the theta box."""
+    return tuple(float(a) for a in np.geomspace(*theta_box, _LADDER_RUNGS) / k)
+
+
 def mle_joint(
     x: SimplexPoint,
     seed: int,
@@ -525,11 +522,11 @@ def mle_joint(
     """Joint MLE of (theta, sigma) by Newton's method on the likelihood surface of two pools.
 
     A small pilot pool over a ladder of concentrations spanning the theta
-    box locates the optimum; a full-size pool at the pilot theta refines it.
-    Sigma, the status, the bracket, the score and the ESS come from
-    ``mle_sigma`` on that pool reweighted to theta-hat, whose root is the
-    same point.  Data in the pilot pool's homozygosity fringe are unbounded
-    in sigma at every theta.
+    box locates the optimum; a full-size pool at the pilot theta, reaching
+    down to twice a negative pilot sigma, refines it.  Sigma, the status,
+    the bracket, the score and the ESS come from ``mle_sigma`` on that pool
+    reweighted to theta-hat, whose root is the same point.  Data in the
+    pilot pool's homozygosity fringe are unbounded in sigma at every theta.
     """
     config = config or JointMleConfig()
     if config.pool_n < 1:
@@ -538,12 +535,11 @@ def mle_joint(
     h = homozygosity(x)
     theta_box = config.theta_bounds
     sigma_box = (-SIGMA_CAP, SIGMA_CAP)
-    rungs = tuple(float(a) for a in np.geomspace(*theta_box, _LADDER_RUNGS) / k)
+    rungs = _ladder(theta_box, k)
     # Up to SIGMA_CAP, the defensive concentrations join those aimed at theta: a lone a = theta/k
     # proposal at small theta draws only near-vertex populations, blind to moderate homozygosities.
     pilot_n = max(config.pool_n // _PILOT_SHARE, 1)
-    pilot_params = MutationParams.symmetric(_THETA_START, k)
-    pilot = pool_for_sigma_range(pilot_params, pilot_n, seed, sigma_hi=SIGMA_CAP, centers=rungs)
+    pilot = pool_for_sigma_range(MutationParams.symmetric(_THETA_START, k), pilot_n, seed, sigma_hi=SIGMA_CAP, centers=rungs)
     margin_lo, margin_hi = pilot.support_margin()
     if not pilot.h_min + margin_lo < h.value < pilot.h_max - margin_hi:
         # The data sit at the singular composition itself, not in one theta's blind spot.
@@ -551,10 +547,12 @@ def mle_joint(
         return replace(inner, notes=inner.notes + ("likelihood unbounded in sigma at every theta",))
     theta, sigma = _maximize_surface(pilot, x, (_THETA_START, 0.0), theta_box, sigma_box)
 
-    params = MutationParams.symmetric(theta, k)
-    pool = pool_for_sigma_range(params, config.pool_n, _subseed(seed, 1), sigma_hi=SIGMA_CAP)
+    pool = pool_for_sigma_range(
+        MutationParams.symmetric(theta, k), config.pool_n, _subseed(seed, 1),
+        sigma_lo=min(0.0, 2.0 * sigma), sigma_hi=SIGMA_CAP,
+    )
     theta_hat, _ = _maximize_surface(pool, x, (theta, sigma), theta_box, sigma_box)
-    inner = mle_sigma(h, pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta_hat, k)))
+    inner = mle_sigma(h, pool.reweighted(MutationParams.symmetric(theta_hat, k)))
     notes = inner.notes
     if min(theta_hat - theta_box[0], theta_box[1] - theta_hat) < BRACKET_TOL:
         notes = notes + ("theta-at-bound: outer optimum sits at a search bound",)
@@ -564,6 +562,18 @@ def mle_joint(
 def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
+
+
+def _check_replicates(m: int) -> None:
+    if m < 100:
+        raise ValueError("bootstrap needs m >= 100 replicates")
+
+
+def _check_alphas(alpha1: float, alpha2: float) -> None:
+    # alpha1 + alpha2 == 1 is the degenerate boundary: both quantile
+    # equations coincide at the median-matching intensity.
+    if not (0.0 < alpha1 and 0.0 < alpha2 and alpha1 + alpha2 <= 1.0):
+        raise ValueError("need alpha1 > 0, alpha2 > 0 and alpha1 + alpha2 <= 1")
 
 
 def _quantile_with_inf(sorted_vals: np.ndarray, q: float) -> float:
@@ -617,8 +627,7 @@ def bootstrap(
     _check_level(config.level)
     if config.workers < 1:
         raise ValueError(f"bootstrap needs workers >= 1, got {config.workers}")
-    if m < 100:
-        raise ValueError("bootstrap needs m >= 100 replicates")
+    _check_replicates(m)
     params = MutationParams.symmetric(theta, k)
     gen_seed = _subseed(seed, 2)
     draws, gen_report = _selection_arrays(params, sigma, m, gen_seed, config.sampler)
@@ -691,10 +700,7 @@ def monotone_ci(
     note.
     """
     config = config or MonotoneCiConfig()
-    # alpha1 + alpha2 == 1 is the degenerate boundary: both quantile
-    # equations coincide at the median-matching intensity.
-    if not (0.0 < alpha1 and 0.0 < alpha2 and alpha1 + alpha2 <= 1.0):
-        raise ValueError("need alpha1 > 0, alpha2 > 0 and alpha1 + alpha2 <= 1")
+    _check_alphas(alpha1, alpha2)
     s_lo, s_hi = config.sigma_range
     at = functools.partial(_cdf_logit, pool, cdf_at=float(h.value))
     end_lo, end_hi = at(s_lo), at(s_hi)
@@ -743,9 +749,11 @@ def posterior_sample(
     the likelihood evaluated through one fixed pool: the pool's sufficient
     statistics reweight it exactly to any symmetric theta, so the whole
     chain sees a single smooth deterministic likelihood surface (common
-    random numbers in the strongest sense).  The posterior mode is found
-    on that pool too.  Credible intervals are prior-bound-sensitive; the
-    bounds are stamped into the chain.
+    random numbers in the strongest sense).  The chain starts at the
+    posterior mode on that pool, where its sigma proposal is centered, and
+    the exact CI on the pool reweighted to the mode's theta scales that
+    proposal.  Credible intervals are prior-bound-sensitive; the bounds are
+    stamped into the chain.
     """
     config = config or PosteriorConfig()
     theta_box, sigma_box = prior_bounds if prior_bounds is not None else DEFAULT_PRIOR_BOUNDS
@@ -764,34 +772,28 @@ def posterior_sample(
         raise ValueError("chain_length must comfortably exceed burn_in")
     k = x.k
     h = homozygosity(x)
+    theta_fixed = config.theta_fixed
 
-    if config.theta_fixed is not None:
-        theta_pilot = float(config.theta_fixed)
+    # The chain's one likelihood pool covers both sign regimes over +/-SIGMA_CAP,
+    # whatever the sigma prior box.  A joint chain's is centered on the joint MLE's
+    # ladder over the theta box, every theta the chain proposes; a fixed-theta
+    # chain's on theta/k.
+    if theta_fixed is None:
+        theta_start, centers = _THETA_START, _ladder((max(0.1, theta_box[0]), theta_box[1]), k)
+        mode_box = (max(theta_box[0], 1e-3), theta_box[1])
     else:
-        pilot_cfg = JointMleConfig(theta_bounds=(max(0.1, theta_box[0]), theta_box[1]), pool_n=_PILOT_POOL_N)
-        pilot = mle_joint(x, _subseed(seed, 4), pilot_cfg)
-        theta_pilot = pilot.theta_hat if pilot.theta_hat is not None else 0.5 * (theta_box[0] + theta_box[1])
-
-    # The chain's likelihood pool: defensive mixture around the pilot theta,
-    # covering both sign regimes over +/-SIGMA_CAP, the range its pilot
-    # mle_sigma brackets over, whatever the prior box.  Pilot estimates on
-    # it locate and scale the sigma proposal.
+        theta_start, centers = float(theta_fixed), None
+        mode_box = (theta_start, theta_start)
     pool = pool_for_sigma_range(
-        MutationParams.symmetric(theta_pilot, k),
-        config.pool_n,
-        _subseed(seed, 6),
-        sigma_lo=-SIGMA_CAP,
-        sigma_hi=SIGMA_CAP,
+        MutationParams.symmetric(theta_start, k), config.pool_n, _subseed(seed, 6), -SIGMA_CAP, SIGMA_CAP, centers=centers
     )
-    pilot_mle = mle_sigma(h, pool)
-    if pilot_mle.converged:
-        center = float(np.clip(pilot_mle.sigma_hat, sigma_box[0], sigma_box[1]))
-    else:
-        center = sigma_box[1] - 0.05 * (sigma_box[1] - sigma_box[0]) if pilot_mle.sigma_hat > 0 else sigma_box[0]
-    pilot_ci = monotone_ci(
-        h, pool, 0.025, 0.025, MonotoneCiConfig(sigma_range=(sigma_box[0] - 1.0, max(sigma_box[1], 2000.0)))
-    )
-    scale = PROPOSAL_SCALE_FACTOR * max(pilot_ci.width, 1.0)
+    # The mode maximizes the pool's concave likelihood surface over the prior box;
+    # under flat priors it is the constrained joint MLE.
+    theta_mode, center = _maximize_surface(pool, x, (theta_start, 0.0), mode_box, sigma_box)
+    theta_mode = theta_mode if theta_fixed is None else theta_start
+    ci_config = MonotoneCiConfig(sigma_range=(sigma_box[0] - 1.0, max(sigma_box[1], 2000.0)))
+    ci = monotone_ci(h, pool.reweighted(MutationParams.symmetric(theta_mode, k)), 0.025, 0.025, ci_config)
+    scale = PROPOSAL_SCALE_FACTOR * max(ci.width, 1.0)
     scale = float(np.clip(scale, 5.0, 4.0 * (sigma_box[1] - sigma_box[0])))
 
     # log Z(a, sigma) is a log-sum-exp of functions affine in (a, sigma), so it
@@ -825,28 +827,23 @@ def posterior_sample(
     rng = derive_rng(seed, 7)
     total = int(chain_length)
     retained = total - config.burn_in
-    theta_fixed = config.theta_fixed
 
     if theta_fixed is None:
-        theta_props = rng.uniform(theta_box[0], theta_box[1], size=total)
-        theta_props = np.maximum(theta_props, 1e-9)  # open lower bound
+        theta_props = np.maximum(rng.uniform(theta_box[0], theta_box[1], size=total), 1e-9)  # open lower bound
     else:
         theta_props = np.full(total, float(theta_fixed))
-    u = rng.random(total) - 0.5
-    sigma_props = center - scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    bad = (sigma_props < sigma_box[0]) | (sigma_props > sigma_box[1])
+    sigma_props = np.empty(total)
+    bad = np.ones(total, dtype=bool)
     while bad.any():
-        u2 = rng.random(int(bad.sum())) - 0.5
-        sigma_props[bad] = center - scale * np.sign(u2) * np.log1p(-2.0 * np.abs(u2))
+        u = rng.random(int(bad.sum())) - 0.5
+        sigma_props[bad] = center - scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
         bad = (sigma_props < sigma_box[0]) | (sigma_props > sigma_box[1])
     log_u = np.log(rng.random(total))
     log_q = -np.abs(sigma_props - center) / scale
 
-    theta_cur = min(max(theta_pilot, 1e-9), theta_box[1])
-    sigma_cur = center
+    theta_cur, sigma_cur, lq_cur = theta_mode, center, 0.0
     lp_cur = log_post(theta_cur, sigma_cur)
     tangents[1:] = tangents[0]
-    lq_cur = -abs(sigma_cur - center) / scale
 
     thetas = np.empty(retained)
     sigmas = np.empty(retained)
@@ -874,14 +871,6 @@ def posterior_sample(
             lps[i] = lp_cur
             accs[i] = accepted
 
-    # The mode maximizes the concave likelihood surface of the chain's pool from the
-    # medians of the retained draws, constrained to the prior box (theta held at a
-    # fixed-theta chain's value); under flat priors it is the constrained joint MLE.
-    theta_start = theta_fixed if theta_fixed is not None else float(np.median(thetas))
-    box = (theta_fixed, theta_fixed) if theta_fixed is not None else (max(theta_box[0], 1e-3), theta_box[1])
-    theta_mode, sigma_mode = _maximize_surface(pool, x, (theta_start, float(np.median(sigmas))), box, sigma_box)
-    mode = (float(theta_fixed) if theta_fixed is not None else theta_mode, sigma_mode)
-
     rate = n_accept / total
     notes: tuple[str, ...] = ()
     if rate < ACCEPTANCE_FLAG:
@@ -900,7 +889,7 @@ def posterior_sample(
         burn_in=config.burn_in,
         seed=int(seed),
         theta_fixed=theta_fixed,
-        mode=mode,
+        mode=(theta_mode, center),
         pool_seed=pool.seed,
         pool_n=pool.n,
         pool_concentrations=pool.concentrations,

@@ -251,6 +251,21 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "monotone-ci", "--alpha", "1.5"],
+        ["--method", "monotone-ci", "--alpha", "0"],
+        ["--method", "bootstrap", "--m", "50"],
+    ])
+    def test_bad_alpha_or_m_rejected_before_the_pilot(self, monkeypatch, capsys, argv):
+        # the pilot joint MLE and the pool after it would only be thrown away
+        calls = []
+        monkeypatch.setattr(kallele.cli, "mle_joint", lambda *args, **kwargs: calls.append(args))
+        code = run_cli("analyze", "--data", "lyme", "--seed", "1", *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
+
     def test_bad_chain_csv_rejected_before_the_chain(self, tmp_path, monkeypatch, capsys):
         def not_reached(*args, **kwargs):
             raise AssertionError("the chain ran before --chain-csv was checked")

@@ -26,6 +26,7 @@ from kallele.density import (
     _cdf_logit,
     _log_z_tangent,
     _logsumexp_rows,
+    _pass,
     _surface,
     _surface_base,
     _weights,
@@ -289,10 +290,9 @@ class TestTilt:
     def test_lean_passes_equal_full_pass(self, pool_k4, mixture_pool_k4, sigma):
         # no tolerance: the tangent and CDF passes reduce the same weights as tilt
         hv = Homozygosity(value=0.3, k=4)
-        b_other = mixture_pool_k4.base_log_weights_for(MutationParams.symmetric(7.5, 4))
-        for pool, b in ((pool_k4, None), (mixture_pool_k4, None), (mixture_pool_k4, b_other)):
-            base = pool.b if b is None else b
-            assert _log_z_tangent(base, pool.s, pool.h, sigma)[0] == tilt(pool, sigma, b).log_z
+        other = mixture_pool_k4.reweighted(MutationParams.symmetric(7.5, 4))
+        for pool in (pool_k4, mixture_pool_k4, other):
+            assert _log_z_tangent(pool.b, pool.s, pool.h, sigma)[0] == tilt(pool, sigma).log_z
         for pool in (pool_k4, mixture_pool_k4):
             w = _weights(pool.b, pool.h, sigma)[0]
             below = pool.h <= hv.value
@@ -306,6 +306,34 @@ class TestTilt:
             assert w.max() == 1.0
             assert not np.any((w > 0.0) & (w < 2.0**-1020))
             assert np.any(w == 0.0)
+
+
+class TestReweighted:
+    @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1600.0])
+    def test_view_pass_is_the_reweighted_pass(self, mixture_pool_k4, sigma):
+        # no tolerance: the view's base log-weights are the Dirichlet reweighting
+        pool = mixture_pool_k4
+        a = 7.5 / 4
+        base = float(gammaln(7.5) - 4 * gammaln(a)) + (a - 1.0) * pool.s - pool.proposal_log_density
+        assert tilt(pool.reweighted(MutationParams.symmetric(7.5, 4)), sigma) == _pass(base, pool.h, sigma)
+
+    def test_view_shares_the_draws(self, mixture_pool_k4):
+        pool = mixture_pool_k4
+        theta = MutationParams.symmetric(7.5, 4)
+        view = pool.reweighted(theta)
+        for name in ("h", "s", "proposal_log_density", "draws"):
+            assert getattr(view, name) is getattr(pool, name)
+        assert view.theta == theta and not np.shares_memory(view.b, pool.b)
+        assert view.support_margin() == pool.support_margin()
+        assert view._memo is not pool._memo
+        assert pool.reweighted(pool.theta) is pool
+
+    def test_targets_it_cannot_reach(self, pool_k4):
+        with pytest.raises(ValueError, match="k=4"):
+            pool_k4.reweighted(MutationParams.symmetric(4.8, 3))
+        bare = build_pool(MutationParams.symmetric(4.8, 4), n=1000, seed=1, keep_draws=False)
+        with pytest.raises(ValueError, match="keep_draws"):
+            bare.reweighted(MutationParams.general([1.0, 1.5, 1.2, 1.1]))
 
 
 class TestSurface:
@@ -325,8 +353,7 @@ class TestSurface:
         np.testing.assert_allclose(cov_t, cov, rtol=1e-9)
         assert ess == pytest.approx(1.0 / (w @ w), rel=1e-12)
         # the h-moment is the reweighted tilt's, the constant having cancelled
-        b = pool.base_log_weights_for(MutationParams.symmetric(theta, 4))
-        assert mean_t[1] == pytest.approx(tilt(pool, sigma, b).g, rel=1e-12)
+        assert mean_t[1] == pytest.approx(tilt(pool.reweighted(MutationParams.symmetric(theta, 4)), sigma).g, rel=1e-12)
 
     def test_plain_pool_normalizer_is_the_dirichlet_constant(self, pool_k4):
         # at sigma = 0 on the pool's own concentration every weight is the
@@ -343,13 +370,13 @@ class TestSurface:
         base = _surface_base(pool, a)
         log_z, es, eh = _log_z_tangent(base, pool.s, pool.h, sigma)
         # no tolerance on log Z: the tangent pass is the full pass's log Z with two more reductions
-        assert log_z == tilt(pool, sigma, base).log_z
+        assert log_z == _pass(base, pool.h, sigma).log_z
         _, mean_t, _, _ = _surface(pool, a, sigma)
         np.testing.assert_allclose([es, eh], mean_t, rtol=1e-12)
         # log Z is convex in (a, sigma): the plane stays below it far away too
         for a2, sigma2 in ((a * 0.1, sigma - 500.0), (a * 3.0, sigma + 2000.0), (a + 1.0, -sigma), (a, sigma + 1.0)):
             plane = log_z + (a2 - a) * es - (sigma2 - sigma) * eh
-            assert plane <= tilt(pool, sigma2, _surface_base(pool, a2)).log_z + 1e-9
+            assert plane <= _pass(_surface_base(pool, a2), pool.h, sigma2).log_z + 1e-9
 
 
 class TestScoreSigma:

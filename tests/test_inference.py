@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -81,8 +82,8 @@ class TestMleSigma:
     def test_warm_table_matches_cold(self, mixture_pool_k4):
         for hv in (0.28, 0.33, 0.45):
             h = Homozygosity(hv, 4)
-            # passing the pool's own base weights bypasses the pool's memo
-            cold = mle_sigma(h, mixture_pool_k4, b=mixture_pool_k4.b)
+            # a copy of the pool has a fresh memo, so its solve is cold
+            cold = mle_sigma(h, dataclasses.replace(mixture_pool_k4))
             warm = mle_sigma(h, mixture_pool_k4)
             # the memo replays the same passes, so the solves are identical
             assert warm == cold
@@ -163,7 +164,7 @@ class TestMleJoint:
         x = parse_frequencies("kir")
         pool = pool_for_sigma_range(MutationParams.symmetric(6.2, 8), 100_000, 7, sigma_hi=inference.SIGMA_CAP)
         theta, sigma = inference._maximize_surface(pool, x, (5.0, 0.0), (0.1, 50.0), (-1e5, 1e5))
-        res = mle_sigma(homozygosity(x), pool, b=pool.base_log_weights_for(MutationParams.symmetric(theta, 8)))
+        res = mle_sigma(homozygosity(x), pool.reweighted(MutationParams.symmetric(theta, 8)))
         assert res.converged
         assert abs(sigma - res.sigma_hat) <= inference.BRACKET_TOL
         assert 5.0 < theta < 7.5
@@ -174,6 +175,17 @@ class TestMleJoint:
         theta, sigma = inference._maximize_surface(pool, x, (4.8, 0.0), (4.8, 4.8), (0.0, 20.0))
         assert theta == 4.8
         assert sigma == 20.0  # sigma-hat (about 34) lies beyond the box
+
+    def test_final_pool_covers_homozygote_advantage(self):
+        # The pilot's sigma is about -40 here, so the final pool reaches down
+        # to twice that and mixes in the vertex component.  A final pool that
+        # stops at sigma = 0 puts the root on an ESS under the floor, and the
+        # fit reads unbounded_below.
+        draws, _ = _selection_arrays(MutationParams.symmetric(4.8, 4), -40.0, 5, 3, SamplerConfig())
+        res = mle_joint(SimplexPoint(draws[0]), seed=7, config=JointMleConfig(pool_n=100_000))
+        assert res.converged
+        assert res.ess_at_solution >= 2 * density.DEFAULT_ESS_FLOOR
+        assert -60.0 < res.sigma_hat < -30.0
 
     def test_uniform_unbounded_at_every_theta(self):
         res = mle_joint(SimplexPoint((0.25,) * 4), seed=3, config=JointMleConfig(pool_n=10_000))
@@ -422,10 +434,9 @@ class TestPosterior:
         _, (t_mode, _) = posterior_summary(chain, 0.9)
         assert t_mode == 4.8
 
-    @pytest.mark.parametrize("theta_fixed, chain_builds", [(None, 3), (4.8, 1)])
+    @pytest.mark.parametrize("theta_fixed, chain_builds", [(None, 1), (4.8, 1)])
     def test_pool_builds(self, monkeypatch, theta_fixed, chain_builds):
-        # a joint chain builds the pilot joint MLE's two pools and its own; a
-        # fixed-theta chain only its own; the summary builds none
+        # every chain builds its own pool and no other; the summary builds none
         builds = []
 
         def counting(build):
@@ -445,6 +456,56 @@ class TestPosterior:
         assert len(builds) == chain_builds
         posterior_summary(chain, 0.95)
         assert len(builds) == chain_builds
+
+    def test_joint_chain_solves_its_mode_once_on_its_own_pool(self, monkeypatch):
+        # no joint MLE inside the chain: its one pool serves the mode, solved
+        # once before the chain, which starts and centers its proposal there
+        built, solves = [], []
+        build, maximize = inference.pool_for_sigma_range, inference._maximize_surface
+
+        def building(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def solving(pool, *args):
+            solves.append((pool, maximize(pool, *args)))
+            return solves[-1][1]
+
+        def no_joint_mle(*args, **kwargs):
+            raise AssertionError("the chain called mle_joint")
+
+        monkeypatch.setattr(inference, "pool_for_sigma_range", building)
+        monkeypatch.setattr(inference, "_maximize_surface", solving)
+        monkeypatch.setattr(inference, "mle_joint", no_joint_mle)
+        chain = posterior_sample(
+            parse_frequencies("lyme"),
+            chain_length=1600,
+            seed=41,
+            config=PosteriorConfig(pool_n=6000, burn_in=0),
+        )
+        assert len(built) == 1 and len(solves) == 1
+        assert solves[0][0] is built[0]
+        assert chain.mode == solves[0][1]
+        assert chain.proposal_spec["sigma"]["center"] == chain.mode[1]
+        assert (chain.thetas[0], chain.sigmas[0]) == chain.mode or chain.accepted[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_joint_chain_pool_covers_small_theta(self, monkeypatch, seed):
+        # The chain proposes theta uniformly over its prior box.  Its pool's
+        # ladder over that box keeps the likelihood at theta = 0.2 on
+        # thousands of draws; a pool centered on one theta near 5 gave 7-49.
+        built = []
+        build = inference.pool_for_sigma_range
+
+        def building(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(inference, "pool_for_sigma_range", building)
+        posterior_sample(parse_frequencies("lyme"), chain_length=600, seed=seed,
+                         config=PosteriorConfig(pool_n=20_000, burn_in=0))
+        (pool,) = built
+        assert density._surface(pool, 0.2 / 4, 0.0)[3] >= 1000.0
 
     def test_summary_requires_length(self, lyme_chain):
         short = posterior_sample(

@@ -28,12 +28,14 @@ chain and a fixed-theta chain with their summaries.  Every pool the joint
 MLEs and the chains build is hashed too (its h, s, base log-weights,
 proposal log-density and concentrations), caught by wrapping
 ``build_mixture_pool`` in every kallele module that holds it, wherever the
-pool policy calls it from.  Wall time on a 2-vCPU Xeon: about 12 s.
+pool policy calls it from, and so is the reweighted pool each joint MLE's
+``mle_sigma`` solves on.  Wall time on a 2-vCPU Xeon: about 12 s.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -102,6 +104,34 @@ def _show_pools(label: str, pools) -> None:
         _show(f"{label} pool {i}", pool.h, pool.s, pool.b, pool.proposal_log_density, list(pool.concentrations))
 
 
+def _reweighted(pool, theta):
+    """``pool.reweighted(theta)``; where pools have no such method, the same view built from its base weights."""
+    if hasattr(pool, "reweighted"):
+        return pool.reweighted(theta)
+    return dataclasses.replace(pool, b=pool.base_log_weights_for(theta), theta=theta)
+
+
+@contextlib.contextmanager
+def _solved_bases():
+    """Yield a list that collects the (h, s, base log-weights) of every ``mle_sigma`` solve in the block.
+
+    A solve given base weights ``b`` in place of the pool's (``b=``) is
+    recorded with them, so a view and a pool with ``b`` hash the same.
+    """
+    original = inference.mle_sigma
+    solved = []
+
+    def recording(h, pool, b=None):
+        solved.append((pool.h, pool.s, pool.b if b is None else b))
+        return original(h, pool) if b is None else original(h, pool, b=b)
+
+    inference.mle_sigma = recording
+    try:
+        yield solved
+    finally:
+        inference.mle_sigma = original
+
+
 def simulate(tmp: str) -> None:
     # The four routes of `kallele simulate`: neutral, rejection, MH with a
     # symmetric Dirichlet proposal and MH with the vertex-mixture proposal.
@@ -155,13 +185,13 @@ def bootstrap() -> None:
 
 def mle_sigma() -> None:
     # On k = 2 a 100k pool is dense enough at its floor for roots past the
-    # cap to lie outside the unbounded fringe.  Each h is solved cold (the
-    # pool's own base weights passed, which bypasses its pass memo) and warm.
+    # cap to lie outside the unbounded fringe.  Each h is solved cold (on a
+    # copy of the pool, whose pass memo is fresh) and warm.
     pool = build_mixture_pool(MutationParams.symmetric(1.0, 2), (0.5, 0.2, 2.0, 8.0), 100_000, 37, keep_draws=False)
     cases = [(f"root {s:g}", g_sigma(pool, s)) for s in (-2e5, -300.0, -0.5, 0.5, 20.0, 3000.0, 2e5)]
     for label, hv in cases + [("floor", pool.h_min), ("ceiling", pool.h_max)]:
         h = Homozygosity(float(hv), 2)
-        cold = inference.mle_sigma(h, pool, b=pool.b)
+        cold = inference.mle_sigma(h, dataclasses.replace(pool))
         warm = inference.mle_sigma(h, pool)
         _show(f"mle_sigma {label}", repr(cold), repr(warm))
 
@@ -176,7 +206,7 @@ def pools() -> None:
         pool = build_pool(theta, a, 50_000, 41, keep_draws=keep)
         parts = [pool.b, pool.proposal_log_density]
         if keep:
-            parts += [pool.base_log_weights_for(MutationParams.symmetric(6.0, 4)), pool.base_log_weights_for(general)]
+            parts += [_reweighted(pool, MutationParams.symmetric(6.0, 4)).b, _reweighted(pool, general).b]
         _show(f"build_pool {label}", *parts)
 
 
@@ -215,8 +245,8 @@ def likelihood() -> None:
 
 def passes() -> None:
     # Each pool pass on a signed sigma grid through 0 out to the saturated
-    # ends at +-1e4, on a plain pool and on a mixture pool; tilt also with
-    # the base weights of another theta, as the joint MLE passes them.
+    # ends at +-1e4, on a plain pool and on a mixture pool; tilt also on the
+    # pool reweighted to another theta, as the joint MLE solves on it.
     theta = MutationParams.symmetric(4.8, 4)
     sigmas = [float(s) for s in np.concatenate([-np.logspace(4, -2, 60), [0.0], np.logspace(-2, 4, 60)])]
     x = parse_frequencies("lyme")
@@ -227,8 +257,8 @@ def passes() -> None:
         for hv in (0.26, 0.3, 0.45, 0.9):
             h = Homozygosity(hv, 4)
             _show(f"cdf_homozygosity {label} h={hv}", [repr(cdf_homozygosity(pool, s, h)) for s in sigmas])
-        b = pool.base_log_weights_for(MutationParams.symmetric(6.0, 4))
-        _show(f"tilt {label}", [repr(tilt(pool, s)) for s in sigmas], [repr(tilt(pool, s, b)) for s in sigmas])
+        other = _reweighted(pool, MutationParams.symmetric(6.0, 4))
+        _show(f"tilt {label}", [repr(tilt(pool, s)) for s in sigmas], [repr(tilt(other, s)) for s in sigmas])
         _show(f"g_sigma {label}", [repr(g_sigma(pool, s)) for s in sigmas])
         models = [SelectionModel.overdominance(s) for s in sigmas]
         _show(f"log_normalizer {label}", [repr(log_normalizer(pool, m)) for m in models])
@@ -239,10 +269,12 @@ def passes() -> None:
 def mle_and_ci() -> None:
     for label, theta in (("lyme", 4.8), ("kir", 6.24)):
         x = parse_frequencies(label)
-        with _built_pools() as built:
+        with _built_pools() as built, _solved_bases() as solved:
             mle = inference.mle_joint(x, 5, inference.JointMleConfig(pool_n=100_000))
         _show(f"mle_joint {label}", repr(mle))
         _show_pools(f"mle_joint {label}", built)
+        for i, parts in enumerate(solved):
+            _show(f"mle_joint {label} solved pool {i}", *parts)
         pool = pool_for_sigma_range(MutationParams.symmetric(theta, x.k), 200_000, 5, sigma_lo=-500.0, sigma_hi=2000.0)
         _show(f"ci pool {label}", pool.h, pool.s, pool.b, pool.proposal_log_density)
         iv = inference.monotone_ci(homozygosity(x), pool, 0.025, 0.025)
