@@ -80,6 +80,9 @@ SIGMA_CAP = 1e5
 BRACKET_INIT = 64.0
 # An exact CI endpoint's Newton solve stops within this of its root.
 CI_TOL = 1e-6
+# A bootstrap solves its replicates in chunks of this many, each one sweep
+# whose solves share their passes; threads take whole chunks.
+_SWEEP_CHUNK = 1024
 # Draws of the joint MLE that re-estimates theta in each replicate of a
 # joint_refit bootstrap.
 JOINT_REFIT_POOL_N = 20_000
@@ -293,7 +296,10 @@ class GSigmaTable:
     there from the table in the pool's memo, and only the first solves pay
     for them; a reweighted view has a table of its own.  Passes are made
     lazily, on first use.  Results are identical with and without the memo;
-    threads may share it.
+    threads may share it.  The passes a solve makes inside its bracket are
+    not kept here, since they depend on the order of the solves; a caller
+    that fixes the order keeps them in the ``sweep`` it passes to
+    ``mle_sigma``.
     """
 
     def __init__(self, pool: WeightedPool):
@@ -345,7 +351,7 @@ def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> 
     return sigma, t, lo, hi
 
 
-def mle_sigma(h: Homozygosity, pool: WeightedPool) -> MleResult:
+def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: dict[float, Tilt] | None = None) -> MleResult:
     """Conditional MLE of the selection intensity given the pool's mutation rate.
 
     Solves g(sigma) = h on the exactly monotone empirical g; for another
@@ -355,7 +361,13 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool) -> MleResult:
     bracket is one octave (or 0 and BRACKET_INIT / 64) and a point where g
     equals h is its lower end; a root past either end is reported as
     outside the pool's range.  The passes at those points come from the
-    pool's ``GSigmaTable``, which every solve on the pool shares.  Newton
+    pool's ``GSigmaTable``, which every solve on the pool shares.  A caller
+    solving many h on one pool may pass a ``sweep``, its own dict of earlier
+    passes (sigma -> ``Tilt``) on that pool: the nearest recorded passes on
+    either side of h, by the same test, then narrow the bracket, and the
+    solve records its own passes there.  The recorded passes are real
+    passes on the same pool, so the bracket stays certified; the root moves
+    within BRACKET_TOL, and without a sweep the solve is unchanged.  Newton
     steps (g' comes from the same pass) then run inside the bracket from an
     inverse Hermite interpolation of its ends, with bisection whenever a
     step leaves the bracket or fails to halve the step two before.  The
@@ -420,6 +432,19 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool) -> MleResult:
     if j == len(points):
         return outside(SIGMA_CAP, "above-cap")
     lo, hi = points[i], points[j]
+    # Earlier passes of the sweep that fall inside the octave narrow it, by
+    # the same test; what is left holds no recorded point inside.
+    sweep = {} if sweep is None else sweep
+    for s, t in sweep.items():
+        if lo < s < hi:
+            if t.g >= hv:
+                lo, t_lo = s, t
+            else:
+                hi, t_hi = s, t
+
+    def at(sigma: float) -> Tilt:
+        sweep[sigma] = tilt(pool, sigma)
+        return sweep[sigma]
 
     # First iterate: inverse cubic Hermite interpolation of sigma(g) through
     # the bracket ends, whose slopes come with their passes; the secant
@@ -435,12 +460,10 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool) -> MleResult:
         )
         if lo < cubic < hi:
             sigma = cubic
-    t = t_lo if sigma == lo else t_hi if sigma == hi else tilt(pool, sigma)
+    t = t_lo if sigma == lo else t_hi if sigma == hi else at(sigma)
 
     # Safeguarded Newton from there.
-    sigma, t, lo, hi = _newton(
-        functools.partial(tilt, pool), lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL
-    )
+    sigma, t, lo, hi = _newton(at, lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL)
 
     if t.ess < DEFAULT_ESS_FLOOR:
         # The root exists on the empirical curve but hangs on a handful of
@@ -593,15 +616,17 @@ def _quantile_with_inf(sorted_vals: np.ndarray, q: float) -> float:
 
 
 def _replicate_mles(h_values: np.ndarray, k: int, pool: WeightedPool, workers: int = 1) -> list[MleResult]:
-    def solve(hv: float) -> MleResult:
-        return mle_sigma(Homozygosity(value=float(hv), k=k), pool)
+    def solve(chunk: np.ndarray) -> list[MleResult]:
+        sweep: dict[float, Tilt] = {}
+        return [mle_sigma(Homozygosity(value=float(hv), k=k), pool, sweep=sweep) for hv in chunk]
 
+    # Each chunk is one sweep, started cold and solved in replicate order, and
+    # map returns the chunks in order, so the results are worker-count-free.
+    chunks = [h_values[i : i + _SWEEP_CHUNK] for i in range(0, len(h_values), _SWEEP_CHUNK)]
     if workers <= 1:
-        return [solve(hv) for hv in h_values]
-    # Replicates are independent tasks against a shared immutable pool, and
-    # map returns them in order, so the results are worker-count-free.
+        return [r for chunk in chunks for r in solve(chunk)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(solve, h_values))
+        return [r for rs in ex.map(solve, chunks) for r in rs]
 
 
 def bootstrap(
@@ -764,6 +789,9 @@ def posterior_sample(
         raise ValueError(
             f"prior bounds must be ordered lower < upper: theta {tuple(theta_box)}, sigma {tuple(sigma_box)}"
         )
+    if theta_box[0] < 0.0:
+        # A mutation rate is positive; proposals below 0 would all land on one atom near 0.
+        raise ValueError(f"theta prior box must lie in theta >= 0, got {tuple(theta_box)}")
     if config.theta_fixed is not None and not theta_box[0] < config.theta_fixed <= theta_box[1]:
         raise ValueError(f"theta_fixed {config.theta_fixed} lies outside the theta prior box {tuple(theta_box)}")
     if config.burn_in < 0:

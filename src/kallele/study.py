@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import Homozygosity, MutationParams, SimplexPoint, parse_frequencies
 from .density import (
+    Tilt,
     WeightedPool,
     _fraction_below,
     _weights,
@@ -100,6 +101,7 @@ def mle_curve(k: int, h_grid: list[float], pool: WeightedPool) -> list[dict]:
 
     On a shared pool the emitted curve is non-increasing in h, diverging as
     h falls to the 1/k floor.  Grid points at or below 1/k are rejected.
+    The grid's solves share one ``mle_sigma`` sweep of passes.
     """
     bad = [hv for hv in h_grid if hv <= 1.0 / k]
     if bad:
@@ -107,8 +109,9 @@ def mle_curve(k: int, h_grid: list[float], pool: WeightedPool) -> list[dict]:
     if list(h_grid) != sorted(h_grid):
         raise ValueError("h grid must be sorted ascending")
     rows = []
+    sweep: dict[float, Tilt] = {}
     for hv in h_grid:
-        res = mle_sigma(Homozygosity(value=float(hv), k=k), pool)
+        res = mle_sigma(Homozygosity(value=float(hv), k=k), pool, sweep=sweep)
         rows.append({"h": float(hv), "sigma_hat": res.sigma_hat, "status": res.status})
     return rows
 

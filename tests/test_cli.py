@@ -220,6 +220,18 @@ class TestAnalyze:
         assert code == 2
         assert "lower < upper" in capsys.readouterr().err
 
+    def test_theta_box_below_zero_is_one_line_exit_2(self, capsys):
+        # Its proposals below 0 would all land on one atom near theta = 0.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("analyze", "--data", "lyme", "--method", "posterior",
+                           "--prior-theta", "-2", "-1", "--seed", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "theta >= 0" in err
+        assert not caught
+
     @pytest.mark.parametrize(
         "argv",
         [

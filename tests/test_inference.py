@@ -119,6 +119,24 @@ class TestMleSigma:
         assert abs(res.sigma_hat - s) <= 2 * inference.BRACKET_TOL
         assert len(pool._memo["g_sigma_table"].passes) <= 6
 
+    def test_sweep_matches_cold_solves(self):
+        # 200 replicates at the Lyme generator, solved in order through one
+        # sweep: each keeps its cold status, root and a certified bracket.
+        theta = MutationParams.symmetric(4.8, 4)
+        pool = pool_for_sigma_range(theta, 100_000, 13, sigma_lo=-1e5, sigma_hi=1e5)
+        draws, _ = _selection_arrays(theta, 35.1, 200, 17, SamplerConfig())
+        sweep = {}
+        for hv in np.einsum("ij,ij->i", draws, draws):
+            h = Homozygosity(float(hv), 4)
+            swept = mle_sigma(h, pool, sweep=sweep)
+            cold = mle_sigma(h, pool)
+            assert swept.status == cold.status
+            if swept.converged:
+                assert abs(swept.sigma_hat - cold.sigma_hat) <= 2 * inference.BRACKET_TOL
+                lo, hi = swept.bracket
+                assert density.tilt(pool, lo).g >= hv > density.tilt(pool, hi).g
+        assert sweep
+
     def test_monotone_in_data(self, mixture_pool_k4):
         hs = np.linspace(0.265, 0.6, 20)
         sigmas = [mle_sigma(Homozygosity(float(hv), 4), mixture_pool_k4).sigma_hat for hv in hs]
@@ -239,6 +257,26 @@ class TestBootstrap:
         r2 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=par)
         # threads share the pool and the bracket memo, never a pass buffer
         np.testing.assert_equal([e.as_dict() for e in r1.estimates], [e.as_dict() for e in r2.estimates])
+
+    def test_chunks_do_not_depend_on_workers(self, monkeypatch):
+        # 120 replicates in chunks of 50: three sweeps, each started cold
+        monkeypatch.setattr(inference, "_SWEEP_CHUNK", 50)
+        r1 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=BootstrapConfig(pool_n=20_000, workers=1))
+        r3 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=BootstrapConfig(pool_n=20_000, workers=3))
+        np.testing.assert_equal([e.as_dict() for e in r1.estimates], [e.as_dict() for e in r3.estimates])
+
+    def test_sweep_saves_passes(self, monkeypatch):
+        # Without a sweep, a replicate solve takes about 2.97 passes here.
+        calls = []
+        passes = density._pass
+
+        def counted(*args):
+            calls.append(args[2])
+            return passes(*args)
+
+        monkeypatch.setattr(density, "_pass", counted)
+        bootstrap(4.8, 35.1, 4, 200, seed=7001, config=BootstrapConfig(pool_n=100_000))
+        assert len(calls) / 200 <= 2.2
 
     def test_heavy_right_tail_under_strong_selection(self):
         # strong heterozygote advantage at high allele count: the sampling
@@ -544,6 +582,12 @@ class TestPosterior:
         for bounds in (((0.0, 50.0), (10.0, 0.0)), ((50.0, 0.0), (0.0, 1000.0))):
             with pytest.raises(ValueError, match="lower < upper"):
                 posterior_sample(parse_frequencies("lyme"), prior_bounds=bounds, chain_length=2000, seed=1)
+
+    @pytest.mark.parametrize("theta_box", [(-10.0, 50.0), (-2.0, -1.0)])
+    def test_theta_box_below_zero_rejected(self, theta_box):
+        # its proposals below 0 would all land on one atom near theta = 0
+        with pytest.raises(ValueError, match="theta >= 0"):
+            posterior_sample(parse_frequencies("lyme"), prior_bounds=(theta_box, (0.0, 1000.0)), chain_length=2000, seed=1)
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError, match="burn_in"):

@@ -13,11 +13,12 @@ from kallele import (
     homozygosity,
     instability_probability,
     mle_curve,
+    mle_sigma,
     monotone_ci,
     parse_frequencies,
     run_study,
 )
-from kallele import density, study
+from kallele import density, inference, study
 from kallele.density import cdf_homozygosity, pool_for_sigma_range
 
 
@@ -35,6 +36,13 @@ class TestMleCurve:
         sigmas = [r["sigma_hat"] for r in rows]
         assert len(finite) == len(rows)
         assert all(a >= b for a, b in zip(sigmas, sigmas[1:]))
+
+    def test_sweep_matches_cold_solves(self, curve_pool):
+        grid = np.linspace(0.26, 0.5, 40).tolist()
+        for row, hv in zip(mle_curve(4, grid, curve_pool), grid):
+            cold = mle_sigma(Homozygosity(hv, 4), curve_pool)
+            assert row["status"] == cold.status
+            assert abs(row["sigma_hat"] - cold.sigma_hat) <= 2 * inference.BRACKET_TOL
 
     def test_statuses_preserved_near_floor(self, curve_pool):
         rows = mle_curve(4, [0.2500001, 0.3], curve_pool)

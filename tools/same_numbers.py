@@ -13,7 +13,8 @@ JSON lines on the four sampler routes and ``sample_selection`` under a
 general matrix (the MH route with the neutral proposal), the files that
 ``kallele simulate`` writes on the four routes at n = 20 000 and for a
 stuck vertex-mixture chain (sigma = -1e4, thinned by 100), ``bootstrap``
-records at three generators and the first again on two threads, cold and
+records at three generators and the first again on two threads and, with
+1100 replicates (more than one sweep chunk), on one and two threads, cold and
 warm ``mle_sigma`` solves on a fresh mixture pool from beyond one cap to
 beyond the other and at both unbounded fringes, the CSVs of a
 ``sampling_dist``, a ``bootstrap_hist``, an ``mle_curve`` and a
@@ -178,9 +179,13 @@ def bootstrap() -> None:
         res = inference.bootstrap(theta, sigma, k, 200, 23, inference.BootstrapConfig(pool_n=100_000, sampler=sampler))
         records = [repr(e) for e in res.estimates]
         _show(f"bootstrap theta={theta} sigma={sigma} k={k}", records, repr(res.as_dict()))
-    # The first generator again, its replicates solved on two threads.
+    # The first generator again, its replicates solved on two threads, and
+    # with more replicates than one sweep chunk (1024) on one and two threads.
     res = inference.bootstrap(4.8, 35.1, 4, 200, 23, inference.BootstrapConfig(pool_n=100_000, workers=2))
     _show("bootstrap theta=4.8 sigma=35.1 k=4 workers=2", [repr(e) for e in res.estimates], repr(res.as_dict()))
+    for workers in (1, 2):
+        res = inference.bootstrap(4.8, 35.1, 4, 1100, 23, inference.BootstrapConfig(pool_n=20_000, workers=workers))
+        _show(f"bootstrap theta=4.8 sigma=35.1 k=4 m=1100 workers={workers}", [repr(e) for e in res.estimates], repr(res.as_dict()))
 
 
 def mle_sigma() -> None:
