@@ -3,29 +3,48 @@
 Neutral draws are plain Dirichlet variates.  Selected draws use one of two
 routes:
 
-* exact rejection against the neutral proposal, with the tight envelope
-  exp(-sigma * (h - h_opt)) where h_opt is 1/k for heterozygote advantage
-  and 1 for homozygote advantage (the envelope touches at the composition
-  of strongest signal);
+* exact rejection, from one of two envelopes over the neutral law
+  Dir(alpha) (T = sum alpha):
+
+  - the neutral proposal Dir(alpha) with the tight envelope
+    exp(-sigma * (h - h_opt)), where h_opt is 1/k for heterozygote
+    advantage and 1 for homozygote advantage (the envelope touches at the
+    composition of strongest signal);
+  - for homozygote advantage, the boosted-vertex mixture
+    sum_j w_j Dir(alpha + A e_j) with A = |sigma| (1 - 1/k) / log k and
+    w_j proportional to Gamma(alpha_j + A) / Gamma(alpha_j).  Its density
+    over the neutral law's is F * sum_j x_j^A, with
+    F = 1 / sum_j c_j^-1 and c_j = Gamma(T + A) Gamma(alpha_j) /
+    (Gamma(T) Gamma(alpha_j + A)).  With m = max_j x_j:
+
+        h <= m  and  sum_j x_j^A >= m^A, so
+        |sigma| (h - 1) - log sum_j x_j^A <= |sigma| (m - 1) - A log m,
+        which is convex in m and, by the choice of A, 0 at both m = 1/k and m = 1;
+
+    so the test log U < |sigma| (h - 1) - log sum_j x_j^A is exact, and
+    it accepts F times as often as the neutral envelope.  It is used where
+    F > 1, the neutral envelope elsewhere;
+
 * an independence Metropolis-Hastings chain, for intensities where
   rejection starves.  Its proposal is a uniform mixture of Dirichlet rows:
   one moment-matched symmetric row for heterozygote advantage, the k
   neutral rows with one coordinate boosted (moment-matched too) for
   homozygote advantage, and the one neutral row for a general matrix.
 
-The rejection acceptance rate is the neutral expectation of the envelope,
-which collapses much faster on the homozygote-advantage side (typical
-populations sit far below h = 1), so the automatic switch point is
+The neutral envelope's acceptance rate is the neutral expectation of the
+envelope, which collapses much faster on the homozygote-advantage side
+(typical populations sit far below h = 1), so the automatic switch point is
 asymmetric in the sign of sigma.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .core import INTERNAL_SUM_TOL, MutationParams, SelectionModel, SimplexPoint, _dirichlet, derive_rng
 from .density import _logsumexp_rows, g_sigma, pool_for_sigma_range
@@ -94,10 +113,58 @@ def sample_neutral(theta: MutationParams, n: int, seed: int) -> list[SimplexPoin
     return [SimplexPoint(row) for row in _neutral_arrays(theta, n, seed)]
 
 
+def _vertex_rows(alphas: np.ndarray, boost: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and log-normalizers of the vertex-mixture rows Dir(alphas + boost e_j).
+
+    Row j is ``alphas + deltas[j]``.  Up to a term shared by every row, the
+    log of its density over Dir(alphas) at x is boost log x_j + consts[j],
+    with consts[j] = log Gamma(alpha_j) - log Gamma(alpha_j + boost).
+    """
+    return boost * np.eye(alphas.size), gammaln(alphas) - gammaln(alphas + boost)
+
+
+def _rejection_envelope(alphas: np.ndarray, sigma: float) -> tuple[Callable, Callable, str | None, float | None]:
+    """The proposal and the exact accept test of rejection sampling at ``sigma``.
+
+    Returns ``(draw, log_accept, kind, boost)``: ``draw(size, rng)`` gives
+    proposals, ``log_accept(x)`` their log acceptance probabilities (each
+    <= 0), and ``kind`` and ``boost`` are None for the neutral envelope and
+    "vertex-mixture" and A for the boosted-vertex one (module docstring),
+    which is taken where sigma < 0 and its gain F exceeds 1.
+    """
+    k = alphas.size
+    if sigma < 0.0:
+        boost = -sigma * (1.0 - 1.0 / k) / math.log(k)
+        deltas, consts = _vertex_rows(alphas, boost)
+        t = float(alphas.sum())
+        log_total = logsumexp(-consts)
+        if gammaln(t + boost) - gammaln(t) - log_total > 0.0:  # log F > 0
+            rows = alphas + deltas
+            weights = np.exp(-consts - log_total)
+
+            def draw(size: int, rng: np.random.Generator) -> np.ndarray:
+                return _dirichlet(rows[rng.choice(k, size=size, p=weights)], size, rng)
+
+            def log_accept(x: np.ndarray) -> np.ndarray:
+                h = np.einsum("ij,ij->i", x, x)
+                return -sigma * (h - 1.0) - np.log((x**boost).sum(axis=1))
+
+            return draw, log_accept, "vertex-mixture", boost
+
+    h_opt = 1.0 / k if sigma >= 0.0 else 1.0
+
+    def draw(size: int, rng: np.random.Generator) -> np.ndarray:
+        return _dirichlet(alphas, size, rng)
+
+    def log_accept(x: np.ndarray) -> np.ndarray:
+        return -sigma * (np.einsum("ij,ij->i", x, x) - h_opt)
+
+    return draw, log_accept, None, None
+
+
 def _rejection_arrays(theta: MutationParams, sigma: float, n: int, seed: int) -> tuple[np.ndarray, SamplerReport]:
     k = theta.k
-    alphas = theta.alphas()
-    h_opt = 1.0 / k if sigma >= 0.0 else 1.0
+    draw, log_accept, kind, boost = _rejection_envelope(theta.alphas(), sigma)
     batch = max(4096, min(2 * n, 1 << 18))
     accepted: list[np.ndarray] = []
     n_acc = 0
@@ -105,10 +172,8 @@ def _rejection_arrays(theta: MutationParams, sigma: float, n: int, seed: int) ->
     block = 0
     while n_acc < n:
         rng = derive_rng(seed, 21, block)
-        x = _dirichlet(alphas, batch, rng)
-        h = np.einsum("ij,ij->i", x, x)
-        log_accept = -sigma * (h - h_opt)
-        keep = np.log(rng.random(batch)) < log_accept
+        x = draw(batch, rng)
+        keep = np.log(rng.random(batch)) < log_accept(x)
         accepted.append(x[keep])
         n_acc += int(keep.sum())
         n_prop += batch
@@ -129,6 +194,8 @@ def _rejection_arrays(theta: MutationParams, sigma: float, n: int, seed: int) ->
         n_proposals=n_prop,
         acceptance_rate=n_acc / n_prop,
         seed=int(seed),
+        proposal_concentration=boost,
+        proposal_kind=kind,
     )
     return draws, report
 
@@ -208,8 +275,8 @@ def _mh_arrays(
         # their log-normalizers over the neutral one's, less a shared term.
         boost = _matched_vertex_boost(theta, sigma, seed)
         kind, a_prop = "vertex-mixture", boost
-        deltas = boost * np.eye(k)
-        rows, consts = alphas + deltas, gammaln(alphas) - gammaln(alphas + boost)
+        deltas, consts = _vertex_rows(alphas, boost)
+        rows = alphas + deltas
     else:
         if model.mode == "symmetric":
             a_prop = _matched_concentration(theta, sigma, seed)

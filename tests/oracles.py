@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaincinv, gammaln, logsumexp
 from scipy.stats import qmc
 
 
@@ -88,6 +88,32 @@ def selection_cdf_qmc(theta_total: float, k: int, sigma: float, h_cut: float, m_
     lw = (a - 1.0) * np.log(x).sum(axis=1) - sigma * h
     w = np.exp(lw - lw.max())
     return float((w * (h <= h_cut)).sum() / w.sum())
+
+
+def selection_h_qmc(
+    theta_total: float, k: int, sigma: float, h_cut: float, m_pow: int = 15, reps: int = 8
+) -> tuple[float, float, float, float]:
+    """E[H | sigma] and P(H <= h_cut | sigma), each with its standard error, by randomized QMC.
+
+    Each of ``reps`` independently scrambled Sobol sets is mapped through
+    the inverse gamma CDF to Dirichlet(c) points, c = 0.7 theta/k, a little
+    leaner than the neutral law so more of them reach the vertices, and
+    weighted by the density ratio prod x^(theta/k - c) exp(-sigma H).  The
+    weights are bounded, so unlike the uniform-simplex oracles above this
+    stays accurate at theta/k below 1, where the neutral density is
+    unbounded at the faces.  Returns (mean, its se, cdf, its se), the se
+    from the spread of the scrambles.
+    """
+    a = theta_total / k
+    est = np.empty((reps, 2))
+    for r in range(reps):
+        g = gammaincinv(0.7 * a, qmc.Sobol(d=k, scramble=True, seed=9 + r).random(2**m_pow))
+        x = np.clip(g / g.sum(axis=1, keepdims=True), 1e-300, None)
+        h = np.einsum("ij,ij->i", x, x)
+        w = _normalized_weights(0.3 * a * np.log(x).sum(axis=1) - sigma * h)
+        est[r] = w @ h, w @ (h <= h_cut)
+    mean, se = est.mean(axis=0), est.std(axis=0, ddof=1) / math.sqrt(reps)
+    return float(mean[0]), float(se[0]), float(mean[1]), float(se[1])
 
 
 def log_normalizer_bridge(theta, sigma_target: float, sample_fn, steps: int = 12, n: int = 30_000, seed: int = 1000) -> float:

@@ -11,7 +11,7 @@ from kallele.sampler import RejectionStarvedError, sample_neutral, sample_select
 
 # The four routes of `kallele simulate` at k = 4, theta = 4.8: neutral,
 # rejection, MH with a symmetric Dirichlet proposal, MH with the vertex mixture.
-ROUTE_SIGMAS = ["0", "35.1", "200", "-200"]
+ROUTE_SIGMAS = ["0", "35.1", "-10", "200", "-200"]
 
 
 def run_cli(*argv):
@@ -103,14 +103,17 @@ class TestSimulate:
         assert out.read_bytes() == ref.read_bytes()
 
     def test_run_records_share_sampler_keys(self, tmp_path):
-        keys = []
+        keys, kinds = [], []
         for sigma in ROUTE_SIGMAS:
             out = tmp_path / "r.jsonl"
             assert run_cli("simulate", "--k", "4", "--theta", "4.8", f"--sigma={sigma}", "--n", "50",
                            "--seed", "4", "--out", str(out)) == 0
-            keys.append(sorted(json.loads((tmp_path / "r.jsonl.run.json").read_text())["outputs"]["sampler"]))
-        assert "flags" in keys[0]
+            record = json.loads((tmp_path / "r.jsonl.run.json").read_text())["outputs"]["sampler"]
+            keys.append(sorted(record))
+            kinds.append(record["proposal_kind"])
+        assert "flags" in keys[0] and "proposal_kind" in keys[0]
         assert keys == [keys[0]] * len(ROUTE_SIGMAS)
+        assert kinds == [None, None, "vertex-mixture", "symmetric-dirichlet", "vertex-mixture"]
 
     def test_replay_reproduces_samples(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import ks_2samp
 
 from kallele import (
@@ -14,6 +17,7 @@ from kallele import (
     sample_selection,
 )
 from kallele import sampler
+from kallele.core import _dirichlet, derive_rng
 from kallele.density import g_sigma, pool_for_sigma_range
 from kallele.sampler import _selection_arrays, write_samples_jsonl
 
@@ -119,11 +123,12 @@ class TestSampleSelection:
         assert r4.method == "independence-mh"
 
     def test_rejection_starvation_aborts(self, monkeypatch):
+        # The neutral envelope at sigma = 150, k = 10 accepts about 1.4e-4.
         monkeypatch.setattr(sampler, "MAX_REJECTION_PROPOSALS", 200_000)
         monkeypatch.setattr(sampler, "MIN_ACCEPTANCE", 1e-3)
         theta = MutationParams.symmetric(5.0, 10)
         with pytest.raises(RejectionStarvedError, match="acceptance rate"):
-            sampler._rejection_arrays(theta, -40.0, 100, 3)
+            sampler._rejection_arrays(theta, 150.0, 100, 3)
 
     def test_rejection_that_cannot_finish_stops_early(self, monkeypatch):
         # acceptance about 0.10, far above MIN_ACCEPTANCE: after the first
@@ -209,6 +214,93 @@ class TestVertexBoost:
         draws, report = _selection_arrays(MutationParams.symmetric(0.005, 4), -100.0, 50, seed=2)
         assert report.proposal_kind == "vertex-mixture"
         assert np.all(np.isfinite(draws)) and np.allclose(draws.sum(axis=1), 1.0)
+
+
+def _neutral_envelope_draws(alphas: np.ndarray, sigma: float, n: int, seed: int) -> tuple[np.ndarray, int]:
+    """Rejection from Dir(alphas) with envelope exp(-sigma (h - 1)), written out; and its proposal count.
+
+    Proposals, uniforms and the accept test come in the order and from the
+    streams that the sampler's neutral envelope uses at sigma < 0.
+    """
+    batch = max(4096, min(2 * n, 1 << 18))
+    kept, block = [], 0
+    while sum(len(b) for b in kept) < n:
+        rng = derive_rng(seed, 21, block)
+        x = _dirichlet(alphas, batch, rng)
+        kept.append(x[np.log(rng.random(batch)) < -sigma * (np.einsum("ij,ij->i", x, x) - 1.0)])
+        block += 1
+    return np.concatenate(kept)[:n], block * batch
+
+
+def _vertex_gain(alphas: np.ndarray, boost: float) -> float:
+    """F = 1 / sum_j c_j^-1, c_j = Gamma(T + A) Gamma(alpha_j) / (Gamma(T) Gamma(alpha_j + A))."""
+    t = alphas.sum()
+    log_c = gammaln(t + boost) - gammaln(t) + gammaln(alphas) - gammaln(alphas + boost)
+    return float(1.0 / np.exp(-log_c).sum())
+
+
+class TestVertexEnvelope:
+    @given(
+        st.integers(2, 20),
+        st.floats(0.05, 20.0),
+        st.booleans(),
+        st.floats(-10.0, 0.0, exclude_max=True),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_log_accept_is_never_positive(self, k, a, symmetric, sigma, seed):
+        rng = np.random.default_rng(seed)
+        alphas = np.full(k, a) if symmetric else a * rng.uniform(0.25, 2.0, k)
+        draw, log_accept, kind, boost = sampler._rejection_envelope(alphas, sigma)
+        if kind is not None:
+            assert boost == pytest.approx(-sigma * (1.0 - 1.0 / k) / math.log(k), rel=1e-15)
+        x = draw(2000, rng)
+        assert np.all(log_accept(x) <= 0.0)
+
+    @pytest.mark.parametrize("theta, k, sigma, h_cut", [(5.0, 10, -10.0, 0.37), (4.8, 4, -5.0, 0.41)])
+    def test_mean_and_cdf_match_qmc(self, theta, k, sigma, h_cut):
+        draws, report = _selection_arrays(MutationParams.symmetric(theta, k), sigma, 20_000, seed=19)
+        assert report.method == "rejection" and report.proposal_kind == "vertex-mixture"
+        h = np.einsum("ij,ij->i", draws, draws)
+        mean, mean_se, cdf, cdf_se = oracles.selection_h_qmc(theta, k, sigma, h_cut)
+        below = (h <= h_cut).mean()
+        assert abs(h.mean() - mean) < 4 * math.hypot(h.std() / math.sqrt(h.size), mean_se)
+        assert abs(below - cdf) < 4 * math.hypot(math.sqrt(below * (1.0 - below) / h.size), cdf_se)
+
+    # The uniform-simplex oracle is used at theta/k near 1: at k = 10,
+    # theta = 5 its weights x^(theta/k - 1) are unbounded and it reads r0 low.
+    @pytest.mark.parametrize("theta, k", [(4.8, 4), (6.24, 8)])
+    def test_acceptance_is_neutral_rate_times_gain(self, theta, k):
+        sigma = -10.0
+        params = MutationParams.symmetric(theta, k)
+        _, report = sampler._rejection_arrays(params, sigma, 20_000, 23)
+        gain = _vertex_gain(params.alphas(), report.proposal_concentration)
+        expected = math.exp(oracles.log_normalizer_qmc(theta, k, sigma) + sigma) * gain
+        assert gain > 20.0
+        se = math.sqrt(expected * (1.0 - expected) / report.n_proposals)
+        assert abs(report.acceptance_rate - expected) < 4 * se
+
+    def test_neutral_envelope_where_gain_is_at_most_one(self):
+        # F is 0.57 at sigma = -1 and 1.10 at sigma = -2 (k = 4, theta = 4.8).
+        params = MutationParams.symmetric(4.8, 4)
+        alphas = params.alphas()
+        assert _vertex_gain(alphas, 1.0 * 0.75 / math.log(4)) < 1.0 < _vertex_gain(alphas, 2.0 * 0.75 / math.log(4))
+        _, report = sampler._rejection_arrays(params, -2.0, 100, 5)
+        assert report.proposal_kind == "vertex-mixture"
+        draws, report = sampler._rejection_arrays(params, -1.0, 5000, 5)
+        assert report.proposal_kind is None and report.proposal_concentration is None
+        expected, n_prop = _neutral_envelope_draws(alphas, -1.0, 5000, 5)
+        assert np.array_equal(draws, expected)
+        assert report.n_proposals == n_prop
+
+    def test_general_alphas_match_neutral_envelope(self):
+        # Unequal alphas give unequal mixture weights w_j.
+        alphas = np.array([0.3, 0.8, 1.5, 2.4])
+        draws, report = sampler._rejection_arrays(MutationParams.general(alphas), -6.0, 4000, 8)
+        assert report.proposal_kind == "vertex-mixture"
+        reference, _ = _neutral_envelope_draws(alphas, -6.0, 4000, 9)
+        for stat in (lambda x: np.einsum("ij,ij->i", x, x), lambda x: x[:, 0], lambda x: x[:, 3]):
+            assert ks_2samp(stat(draws), stat(reference)).pvalue > 0.001
 
 
 class TestSamplesJsonl:

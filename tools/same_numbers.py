@@ -11,14 +11,16 @@ exact bits (``repr`` in records, raw bytes in arrays), so any change in any
 output, down to the last bit, changes its line.  Outputs: ``simulate``
 JSON lines on the four sampler routes and ``sample_selection`` under a
 general matrix (the MH route with the neutral proposal), the files that
-``kallele simulate`` writes on the four routes at n = 20 000 and for a
-stuck vertex-mixture chain (sigma = -1e4, thinned by 100), ``bootstrap``
+``kallele simulate`` writes on the four routes at n = 20 000, for a
+stuck vertex-mixture chain (sigma = -1e4, thinned by 100) and for
+rejection at sigma < 0 on both envelopes (the neutral one at sigma = -1,
+k = 4, and the vertex mixture at sigma = -10, k = 10), ``bootstrap``
 records at three generators and the first again on two threads and, with
 1100 replicates (more than one sweep chunk), on one and two threads, cold and
 warm ``mle_sigma`` solves on a fresh mixture pool from beyond one cap to
 beyond the other and at both unbounded fringes, the CSVs of a
-``sampling_dist``, a ``bootstrap_hist``, an ``mle_curve`` and a
-``cdf_panel`` study, single-component pools' base log-weights and proposal
+``sampling_dist``, a ``bootstrap_hist``, an ``mle_curve``, a
+``cdf_panel`` and the README's ``instability_prob`` study, single-component pools' base log-weights and proposal
 log-densities, the log-normalizer and the log-likelihood under an
 overdominance and a general-matrix model, the pool passes (the CDF at four
 h values, ``tilt``'s fields, ``g_sigma``, the log-normalizer and the
@@ -30,7 +32,7 @@ MLEs and the chains build is hashed too (its h, s, base log-weights,
 proposal log-density and concentrations), caught by wrapping
 ``build_mixture_pool`` in every kallele module that holds it, wherever the
 pool policy calls it from, and so is the reweighted pool each joint MLE's
-``mle_sigma`` solves on.  Wall time on a 2-vCPU Xeon: about 12 s.
+``mle_sigma`` solves on.  Wall time on a 2-vCPU Xeon: about 1 min.
 """
 
 from __future__ import annotations
@@ -160,6 +162,10 @@ def simulate(tmp: str) -> None:
         ("mh-dirichlet", ["--sigma", "200", "--n", "20000"]),
         ("mh-vertex", ["--sigma=-200", "--n", "20000"]),
         ("mh-vertex stuck", ["--sigma=-1e4", "--n", "2000"]),
+        # Rejection at sigma < 0: the neutral envelope where the vertex
+        # mixture gains nothing (F = 0.57), and the vertex mixture itself.
+        ("rejection neutral envelope", ["--sigma=-1", "--n", "5000"]),
+        ("rejection k=10 sigma=-10", ["--k", "10", "--theta", "5", "--sigma=-10", "--n", "1000"]),
     ):
         path = os.path.join(tmp, "cli.jsonl")
         with contextlib.redirect_stdout(io.StringIO()):
@@ -233,6 +239,11 @@ def study(tmp: str) -> None:
     for key in ("table", "summary"):
         with open(outputs[key], "rb") as fh:
             _show(f"study cdf_panel {key}", fh.read())
+    # The README's instability_prob spec.
+    params = {"k": 10, "theta": 5.0, "sigma_grid": [5, 10, 25, 50, 100], "epsilon": 0.09, "n_per_sigma": 1000}
+    outputs = run_study(StudySpec(kind="instability_prob", parameters=params, seed=20, out=tmp))
+    with open(outputs["table"], "rb") as fh:
+        _show("study instability_prob", fh.read())
 
 
 def likelihood() -> None:
