@@ -29,6 +29,7 @@ from .inference import (
     _check_alphas,
     _check_level,
     _check_replicates,
+    _check_retained,
     BootstrapConfig,
     MonotoneCiConfig,
     PosteriorConfig,
@@ -143,8 +144,6 @@ def _load_single_dataset(source: str):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.time()
     seed = _resolve_seed(args.seed)
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.chain_csv and args.method != "posterior":
         raise ValueError(f"--chain-csv needs --method posterior, got --method {args.method}")
     # Before any pilot fit or chain: a bad value would only surface after them.
@@ -152,6 +151,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _check_level(args.level)
     if args.method == "bootstrap":
         _check_replicates(args.m)
+    if args.method == "posterior":
+        _check_retained(args.chain_length - PosteriorConfig().burn_in)
     if args.method == "monotone-ci":
         _check_alphas(args.alpha / 2.0, args.alpha / 2.0)
     # The posterior's --chain-csv too, which would otherwise fail only after the chain.
@@ -171,7 +172,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "method": args.method,
         "seed": seed,
         "pool_size": args.pool_size,
-        "threads": args.threads,
     }
     outputs: dict = {}
 
@@ -221,9 +221,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             outputs["pilot_mle"] = pilot.as_dict()
             print(f"analyze[{label}]: bootstrapping at MLE (theta={theta:.4g}, sigma={sigma:.4g})")
         flags.update({"fix_theta": theta, "sigma": sigma, "m": args.m, "level": args.level})
-        cfg = BootstrapConfig(
-            level=args.level, pool_n=args.pool_size, workers=args.threads, joint_refit=args.joint_refit
-        )
+        cfg = BootstrapConfig(level=args.level, pool_n=args.pool_size, joint_refit=args.joint_refit)
         result = bootstrap(theta, sigma, k, args.m, seed, cfg)
         outputs["bootstrap"] = result.as_dict()
         iv = result.percentile_interval
@@ -323,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--joint-refit", action="store_true", help="re-estimate theta per bootstrap replicate")
     ana.add_argument("--pool-size", type=int, default=100_000)
     ana.add_argument("--seed", type=int, default=None)
-    ana.add_argument("--threads", type=int, default=1)
     ana.add_argument("--chain-csv", default=None, help="dump the posterior chain to CSV")
     ana.add_argument("--out", default=None, help="write the JSON run record here")
     ana.set_defaults(func=_cmd_analyze)

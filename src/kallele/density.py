@@ -138,9 +138,8 @@ class WeightedPool:
     k: int
     h_min: float
     h_max: float
-    # Per-pool results that queries on the pool share: the support margins
-    # and ``mle_sigma``'s table of bracket-point passes.  Each is a pure
-    # function of the pool, so the memo never changes a result.
+    # Per-pool results that queries on the pool share: the support margins,
+    # a pure function of the pool, so the memo never changes a result.
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def reweighted(self, theta: MutationParams) -> WeightedPool:

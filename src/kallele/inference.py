@@ -4,10 +4,13 @@ The maximum likelihood estimate conditional on the mutation rate solves
 ``g(sigma) = h`` where ``g`` is the mean homozygosity under selection and
 ``h`` the observed one.  On a fixed pool the empirical ``g`` is exactly
 monotone, so the solver is a Newton iteration safeguarded by a bracket
-whose sign change it certifies.  Data at or below the pool's homozygosity floor sits in the
-image of the likelihood singularity: the solver reports an ``unbounded``
-status there instead of a number, and every downstream consumer (bootstrap,
-studies, CLI) carries that status through rather than masking it.
+whose sign change it certifies.  Solves of many h on one pool (a
+bootstrap's replicates, an MLE curve's grid) share their passes through one
+``GSigmaTable`` that the caller owns and solves through in a fixed order.
+Data at or below the pool's homozygosity floor sits in the image of the
+likelihood singularity: the solver reports an ``unbounded`` status there
+instead of a number, and every downstream consumer (bootstrap, studies,
+CLI) carries that status through rather than masking it.
 
 Interval estimates come in three flavours: percentile bootstrap (whose
 heavy right tail under strong heterozygote advantage is the package's
@@ -19,10 +22,9 @@ chain over (theta, sigma).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,9 +82,6 @@ SIGMA_CAP = 1e5
 BRACKET_INIT = 64.0
 # An exact CI endpoint's Newton solve stops within this of its root.
 CI_TOL = 1e-6
-# A bootstrap solves its replicates in chunks of this many, each one sweep
-# whose solves share their passes; threads take whole chunks.
-_SWEEP_CHUNK = 1024
 # Draws of the joint MLE that re-estimates theta in each replicate of a
 # joint_refit bootstrap.
 JOINT_REFIT_POOL_N = 20_000
@@ -271,7 +270,6 @@ class BootstrapConfig:
     level: float = 0.95
     pool_n: int = 100_000
     joint_refit: bool = False
-    workers: int = 1
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
 
@@ -288,30 +286,29 @@ class PosteriorConfig:
 
 
 class GSigmaTable:
-    """Memo of the pool passes at the bracket points, shared by every solve on a pool.
+    """The passes of every ``mle_sigma`` solve on one pool, kept for the next solve.
 
-    ``mle_sigma`` bisects for its bracket over the points 0 and
-    +/-BRACKET_INIT * 2^j (j >= -6) within +/-SIGMA_CAP; those points are
-    the same for every solve on one pool, so each solve takes its passes
-    there from the table in the pool's memo, and only the first solves pay
-    for them; a reweighted view has a table of its own.  Passes are made
-    lazily, on first use.  Results are identical with and without the memo;
-    threads may share it.  The passes a solve makes inside its bracket are
-    not kept here, since they depend on the order of the solves; a caller
-    that fixes the order keeps them in the ``sweep`` it passes to
-    ``mle_sigma``.
+    The caller owns the table and hands it to each solve on ``pool``; a
+    solve without one starts from an empty table of its own.  Every pass a
+    solve makes lands here: at the bracket points 0 and
+    +/-BRACKET_INIT * 2^j (j >= -6), at its Newton iterates and at
+    +/-SIGMA_CAP.  ``sigmas`` holds them in ascending order, and ``at``
+    makes a pass only where none is recorded.  A solve through a table keeps
+    the status of a cold solve and its root moves by at most BRACKET_TOL,
+    but which passes are recorded depends on the order of the solves, so a
+    caller that wants reproducible numbers solves in a fixed order.
     """
 
     def __init__(self, pool: WeightedPool):
-        # A weak reference: the table lives in the pool's memo, and a strong
-        # one would keep a dead pool's arrays until the cyclic collector runs.
-        self.pool = weakref.proxy(pool)
+        self.pool = pool
+        self.sigmas: list[float] = []
         self.passes: dict[float, Tilt] = {}
 
     def at(self, sigma: float) -> Tilt:
         t = self.passes.get(sigma)
         if t is None:
             t = self.passes[sigma] = tilt(self.pool, sigma)
+            bisect.insort(self.sigmas, sigma)
         return t
 
 
@@ -351,7 +348,7 @@ def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> 
     return sigma, t, lo, hi
 
 
-def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: dict[float, Tilt] | None = None) -> MleResult:
+def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: GSigmaTable | None = None) -> MleResult:
     """Conditional MLE of the selection intensity given the pool's mutation rate.
 
     Solves g(sigma) = h on the exactly monotone empirical g; for another
@@ -360,22 +357,24 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: dict[float, Tilt] | No
     +/-SIGMA_CAP finds adjacent points with g(lo) >= h > g(hi), so the
     bracket is one octave (or 0 and BRACKET_INIT / 64) and a point where g
     equals h is its lower end; a root past either end is reported as
-    outside the pool's range.  The passes at those points come from the
-    pool's ``GSigmaTable``, which every solve on the pool shares.  A caller
-    solving many h on one pool may pass a ``sweep``, its own dict of earlier
-    passes (sigma -> ``Tilt``) on that pool: the nearest recorded passes on
-    either side of h, by the same test, then narrow the bracket, and the
-    solve records its own passes there.  The recorded passes are real
-    passes on the same pool, so the bracket stays certified; the root moves
-    within BRACKET_TOL, and without a sweep the solve is unchanged.  Newton
-    steps (g' comes from the same pass) then run inside the bracket from an
-    inverse Hermite interpolation of its ends, with bisection whenever a
-    step leaves the bracket or fails to halve the step two before.  The
-    solve stops when a Newton step or the bracket is below BRACKET_TOL; the
-    returned bracket keeps a certified sign change, and the score and ESS
-    come from the last pass.  Statuses replace exceptions; callers must
-    branch on ``status``.
+    outside the pool's range.  A caller solving many h on one pool passes
+    its ``GSigmaTable`` of that pool as ``sweep`` (a table of another pool
+    is a ValueError); without one the solve is cold.  The solve takes every
+    pass from the table, which records it, and a bisection of the table's
+    sorted passes on g narrows the octave to the nearest recorded passes on
+    either side of h.  They are real passes on the same pool, so the
+    bracket stays certified; the root moves within BRACKET_TOL of the cold
+    solve's.  Newton steps (g' comes from the same pass) then run inside
+    the bracket from an inverse Hermite interpolation of its ends, with
+    bisection whenever a step leaves the bracket or fails to halve the step
+    two before.  The solve stops when a Newton step or the bracket is below
+    BRACKET_TOL; the returned bracket keeps a certified sign change, and
+    the score and ESS come from the last pass.  Statuses replace
+    exceptions; callers must branch on ``status``.
     """
+    table = GSigmaTable(pool) if sweep is None else sweep
+    if table.pool is not pool:
+        raise ValueError("mle_sigma: the sweep table belongs to another pool")
     hv = float(h.value)
     margin_lo, margin_hi = pool.support_margin()
     if hv <= pool.h_min + margin_lo:
@@ -398,10 +397,9 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: dict[float, Tilt] | No
             ess_at_solution=math.nan,
             notes=(f"h={hv:.6g} at or above pool ceiling {pool.h_max:.6g}-{margin_hi:.2g}",),
         )
-    table = pool._memo.get("g_sigma_table") or pool._memo.setdefault("g_sigma_table", GSigmaTable(pool))
 
     def outside(cap: float, note: str) -> MleResult:
-        t = tilt(pool, cap)
+        t = table.at(cap)
         return MleResult(
             sigma_hat=cap,
             theta_hat=None,
@@ -432,19 +430,18 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: dict[float, Tilt] | No
     if j == len(points):
         return outside(SIGMA_CAP, "above-cap")
     lo, hi = points[i], points[j]
-    # Earlier passes of the sweep that fall inside the octave narrow it, by
-    # the same test; what is left holds no recorded point inside.
-    sweep = {} if sweep is None else sweep
-    for s, t in sweep.items():
-        if lo < s < hi:
-            if t.g >= hv:
-                lo, t_lo = s, t
-            else:
-                hi, t_hi = s, t
-
-    def at(sigma: float) -> Tilt:
-        sweep[sigma] = tilt(pool, sigma)
-        return sweep[sigma]
+    # Recorded passes inside the octave narrow it, by the same test: g is
+    # non-increasing along the sorted sigmas, so the first of them with g
+    # below h is found by bisection, and none is left inside the bracket.
+    sigmas, passes = table.sigmas, table.passes
+    first, end = bisect.bisect_right(sigmas, lo), bisect.bisect_left(sigmas, hi)
+    cut = bisect.bisect_right(sigmas, -hv, first, end, key=lambda s: -passes[s].g)
+    if cut > first:
+        lo = sigmas[cut - 1]
+        t_lo = passes[lo]
+    if cut < end:
+        hi = sigmas[cut]
+        t_hi = passes[hi]
 
     # First iterate: inverse cubic Hermite interpolation of sigma(g) through
     # the bracket ends, whose slopes come with their passes; the secant
@@ -460,10 +457,10 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: dict[float, Tilt] | No
         )
         if lo < cubic < hi:
             sigma = cubic
-    t = t_lo if sigma == lo else t_hi if sigma == hi else at(sigma)
+    t = t_lo if sigma == lo else t_hi if sigma == hi else table.at(sigma)
 
     # Safeguarded Newton from there.
-    sigma, t, lo, hi = _newton(at, lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL)
+    sigma, t, lo, hi = _newton(table.at, lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL)
 
     if t.ess < DEFAULT_ESS_FLOOR:
         # The root exists on the empirical curve but hangs on a handful of
@@ -587,6 +584,12 @@ def _check_level(level: float) -> None:
         raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
+def _check_retained(retained: int) -> None:
+    """A chain keeping ``retained`` draws after burn-in can be summarized."""
+    if retained < 1000:
+        raise ValueError(f"need at least 1000 retained draws to summarize, got {retained}")
+
+
 def _check_replicates(m: int) -> None:
     if m < 100:
         raise ValueError("bootstrap needs m >= 100 replicates")
@@ -615,18 +618,10 @@ def _quantile_with_inf(sorted_vals: np.ndarray, q: float) -> float:
     return a + frac * (b_ - a)
 
 
-def _replicate_mles(h_values: np.ndarray, k: int, pool: WeightedPool, workers: int = 1) -> list[MleResult]:
-    def solve(chunk: np.ndarray) -> list[MleResult]:
-        sweep: dict[float, Tilt] = {}
-        return [mle_sigma(Homozygosity(value=float(hv), k=k), pool, sweep=sweep) for hv in chunk]
-
-    # Each chunk is one sweep, started cold and solved in replicate order, and
-    # map returns the chunks in order, so the results are worker-count-free.
-    chunks = [h_values[i : i + _SWEEP_CHUNK] for i in range(0, len(h_values), _SWEEP_CHUNK)]
-    if workers <= 1:
-        return [r for chunk in chunks for r in solve(chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return [r for rs in ex.map(solve, chunks) for r in rs]
+def _replicate_mles(h_values: np.ndarray, k: int, pool: WeightedPool) -> list[MleResult]:
+    # One table, solved through in replicate order, so the results are reproducible.
+    table = GSigmaTable(pool)
+    return [mle_sigma(Homozygosity(value=float(hv), k=k), pool, sweep=table) for hv in h_values]
 
 
 def bootstrap(
@@ -650,8 +645,6 @@ def bootstrap(
     """
     config = config or BootstrapConfig()
     _check_level(config.level)
-    if config.workers < 1:
-        raise ValueError(f"bootstrap needs workers >= 1, got {config.workers}")
     _check_replicates(m)
     params = MutationParams.symmetric(theta, k)
     gen_seed = _subseed(seed, 2)
@@ -663,7 +656,7 @@ def bootstrap(
         estimates = [mle_joint(SimplexPoint(row), _subseed(seed, 3, j), joint_cfg) for j, row in enumerate(draws)]
     else:
         pool = pool_for_sigma_range(params, config.pool_n, _subseed(seed, 1), sigma_lo=-SIGMA_CAP, sigma_hi=SIGMA_CAP)
-        estimates = _replicate_mles(h_values, k, pool, config.workers)
+        estimates = _replicate_mles(h_values, k, pool)
 
     vals = np.array(
         [
@@ -929,8 +922,7 @@ def posterior_sample(
 def posterior_summary(chain: PosteriorChain, level: float = 0.95) -> tuple[IntervalEstimate, tuple[float, float]]:
     """Equal-tailed credible interval for sigma plus the chain's posterior mode."""
     _check_level(level)
-    if len(chain) < 1000:
-        raise ValueError("need at least 1000 retained draws to summarize")
+    _check_retained(len(chain))
     alpha = 1.0 - level
     lo, hi = np.quantile(chain.sigmas, [alpha / 2.0, 1.0 - alpha / 2.0])
     interval = IntervalEstimate(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import Homozygosity, MutationParams, SimplexPoint, parse_frequencies
 from .density import (
-    Tilt,
     WeightedPool,
     _fraction_below,
     _weights,
@@ -29,7 +28,9 @@ from .inference import (
     SIGMA_CAP,
     BootstrapConfig,
     BootstrapResult,
+    GSigmaTable,
     PosteriorConfig,
+    _check_retained,
     bootstrap,
     mle_sigma,
     posterior_sample,
@@ -101,7 +102,7 @@ def mle_curve(k: int, h_grid: list[float], pool: WeightedPool) -> list[dict]:
 
     On a shared pool the emitted curve is non-increasing in h, diverging as
     h falls to the 1/k floor.  Grid points at or below 1/k are rejected.
-    The grid's solves share one ``mle_sigma`` sweep of passes.
+    The grid's solves, in grid order, share one ``GSigmaTable`` of passes.
     """
     bad = [hv for hv in h_grid if hv <= 1.0 / k]
     if bad:
@@ -109,9 +110,9 @@ def mle_curve(k: int, h_grid: list[float], pool: WeightedPool) -> list[dict]:
     if list(h_grid) != sorted(h_grid):
         raise ValueError("h grid must be sorted ascending")
     rows = []
-    sweep: dict[float, Tilt] = {}
+    table = GSigmaTable(pool)
     for hv in h_grid:
-        res = mle_sigma(Homozygosity(value=float(hv), k=k), pool, sweep=sweep)
+        res = mle_sigma(Homozygosity(value=float(hv), k=k), pool, sweep=table)
         rows.append({"h": float(hv), "sigma_hat": res.sigma_hat, "status": res.status})
     return rows
 
@@ -262,7 +263,14 @@ def run_study(spec: StudySpec) -> dict:
         if grid is not None:
             grid = _number_list(p, "h_grid", spec.kind)
         else:
-            grid = np.linspace(1.0 / k + 0.002, 0.5, int(num("grid_points", 100))).tolist()
+            start = 1.0 / k + 0.002
+            if start >= 0.5:
+                raise StudySchemaError(
+                    f"mle_curve: at k={k} the default h grid would start at 1/k + 0.002 = {start:.6g}, "
+                    "past its end at 0.5; give h_grid",
+                    ["h_grid"],
+                )
+            grid = np.linspace(start, 0.5, int(num("grid_points", 100))).tolist()
         if not grid:
             raise StudySchemaError("mle_curve: empty h_grid", ["h_grid"])
         params = MutationParams.symmetric(theta, k)
@@ -334,13 +342,16 @@ def run_study(spec: StudySpec) -> dict:
             theta_fixed=(float(num("fix_theta")) if p.get("fix_theta") is not None else None),
             pool_n=int(num("pool_n", 100_000)),
         )
+        chain_length = int(num("chain_length"))
+        # Before the pool and the chain, which would only be thrown away.
+        _check_retained(chain_length - cfg.burn_in)
         # A side the spec leaves out takes its default; a given side is kept as passed.
         bounds = []
         for name, default in zip(("prior_theta", "prior_sigma"), DEFAULT_PRIOR_BOUNDS):
             if name in p:
                 _number_list(p, name, spec.kind, length=2)
             bounds.append(tuple(p[name]) if name in p else default)
-        chain = posterior_sample(point, tuple(bounds), int(num("chain_length")), spec.seed, cfg)
+        chain = posterior_sample(point, tuple(bounds), chain_length, spec.seed, cfg)
         interval, mode = posterior_summary(chain, float(num("level", 0.95)))
         path = os.path.join(spec.out, "posterior_chain.csv")
         chain.to_csv(path)

@@ -244,13 +244,15 @@ class TestAnalyze:
              "--pool-size", "2000", "--level", "1.5"),
             ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
              "--pool-size", "2000", "--level", "0"),
-            ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
-             "--pool-size", "2000", "--threads", "-3"),
-            ("--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100",
-             "--pool-size", "2000", "--threads", "0"),
+            pytest.param(("--method", "posterior", "--fix-theta", "4.8", "--chain-length", "1500"),
+                         id="chain-length-below-retained"),
         ],
     )
-    def test_bad_value_is_one_line_exit_2(self, capsys, argv):
+    def test_bad_value_is_one_line_exit_2(self, monkeypatch, capsys, argv):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a pool was built before the bad value was checked")
+
+        monkeypatch.setattr(kallele.inference, "pool_for_sigma_range", not_reached)
         code = run_cli("analyze", "--data", "lyme", "--seed", "1", *argv)
         assert code == 2
         err = capsys.readouterr().err

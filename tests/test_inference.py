@@ -80,14 +80,30 @@ class TestMleSigma:
         assert "above-cap" in res.notes
 
     def test_warm_table_matches_cold(self, mixture_pool_k4):
+        # Solves through one table reuse the passes of the solves before
+        # them and keep each cold solve's status and root.
+        table = inference.GSigmaTable(mixture_pool_k4)
+        cold_passes = 0
         for hv in (0.28, 0.33, 0.45):
             h = Homozygosity(hv, 4)
-            # a copy of the pool has a fresh memo, so its solve is cold
-            cold = mle_sigma(h, dataclasses.replace(mixture_pool_k4))
-            warm = mle_sigma(h, mixture_pool_k4)
-            # the memo replays the same passes, so the solves are identical
-            assert warm == cold
-        assert mixture_pool_k4._memo["g_sigma_table"].passes
+            fresh = inference.GSigmaTable(mixture_pool_k4)
+            cold = mle_sigma(h, mixture_pool_k4, sweep=fresh)
+            cold_passes += len(fresh.passes)
+            assert cold == mle_sigma(h, mixture_pool_k4)
+            warm = mle_sigma(h, mixture_pool_k4, sweep=table)
+            assert warm.status == cold.status == "converged"
+            assert abs(warm.sigma_hat - cold.sigma_hat) <= 2 * inference.BRACKET_TOL
+        assert table.sigmas == sorted(table.passes)
+        assert len(table.passes) < cold_passes
+
+    def test_table_of_another_pool_raises(self, pool_k4, mixture_pool_k4):
+        table = inference.GSigmaTable(mixture_pool_k4)
+        with pytest.raises(ValueError, match="another pool"):
+            mle_sigma(Homozygosity(0.3, 4), pool_k4, sweep=table)
+        # a copy of a pool is another pool
+        with pytest.raises(ValueError, match="another pool"):
+            mle_sigma(Homozygosity(0.3, 4), dataclasses.replace(mixture_pool_k4), sweep=table)
+        assert not table.passes
 
     def test_matches_brentq_root(self):
         # The bootstrap's Lyme setting, where the far replicates sit at
@@ -114,10 +130,12 @@ class TestMleSigma:
         # (j >= -6) within the cap: a cold solve passes at no more than 6
         # of them, near 0 and far out alike.
         pool = pool_for_sigma_range(MutationParams.symmetric(4.8, 4), 100_000, 3, sigma_lo=-1e5, sigma_hi=1e5)
-        res = mle_sigma(Homozygosity(g_sigma(pool, s), 4), pool)
+        table = inference.GSigmaTable(pool)
+        res = mle_sigma(Homozygosity(g_sigma(pool, s), 4), pool, sweep=table)
         assert res.converged
         assert abs(res.sigma_hat - s) <= 2 * inference.BRACKET_TOL
-        assert len(pool._memo["g_sigma_table"].passes) <= 6
+        ladder = {0.0} | {sign * 64.0 * 2.0**j for j in range(-6, 11) for sign in (-1.0, 1.0)}
+        assert len(ladder & set(table.sigmas)) <= 6
 
     def test_sweep_matches_cold_solves(self):
         # 200 replicates at the Lyme generator, solved in order through one
@@ -125,7 +143,7 @@ class TestMleSigma:
         theta = MutationParams.symmetric(4.8, 4)
         pool = pool_for_sigma_range(theta, 100_000, 13, sigma_lo=-1e5, sigma_hi=1e5)
         draws, _ = _selection_arrays(theta, 35.1, 200, 17, SamplerConfig())
-        sweep = {}
+        sweep = inference.GSigmaTable(pool)
         for hv in np.einsum("ij,ij->i", draws, draws):
             h = Homozygosity(float(hv), 4)
             swept = mle_sigma(h, pool, sweep=sweep)
@@ -135,7 +153,7 @@ class TestMleSigma:
                 assert abs(swept.sigma_hat - cold.sigma_hat) <= 2 * inference.BRACKET_TOL
                 lo, hi = swept.bracket
                 assert density.tilt(pool, lo).g >= hv > density.tilt(pool, hi).g
-        assert sweep
+        assert sweep.passes
 
     def test_monotone_in_data(self, mixture_pool_k4):
         hs = np.linspace(0.265, 0.6, 20)
@@ -230,11 +248,6 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="m >= 100"):
             bootstrap(5.0, 0.0, 4, 50, seed=1)
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_requires_a_worker(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            bootstrap(5.0, 0.0, 4, 100, seed=1, config=BootstrapConfig(workers=workers))
-
     def test_null_interval_contains_zero(self):
         cfg = BootstrapConfig(pool_n=30_000)
         res = bootstrap(5.0, 0.0, 4, 300, seed=2, config=cfg)
@@ -250,23 +263,27 @@ class TestBootstrap:
         assert r1.standard_error == r2.standard_error
         assert r1.percentile_interval.lower == r2.percentile_interval.lower
 
-    def test_workers_do_not_change_results(self):
-        base = BootstrapConfig(pool_n=20_000, workers=1)
-        par = BootstrapConfig(pool_n=20_000, workers=3)
-        r1 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=base)
-        r2 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=par)
-        # threads share the pool and the bracket memo, never a pass buffer
-        np.testing.assert_equal([e.as_dict() for e in r1.estimates], [e.as_dict() for e in r2.estimates])
+    def test_one_table_keeps_cold_statuses(self, monkeypatch):
+        # 1100 replicates solved through one table: each keeps its cold
+        # status, and its root moves within the bracket tolerance.
+        solves = []
+        solve = inference.mle_sigma
 
-    def test_chunks_do_not_depend_on_workers(self, monkeypatch):
-        # 120 replicates in chunks of 50: three sweeps, each started cold
-        monkeypatch.setattr(inference, "_SWEEP_CHUNK", 50)
-        r1 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=BootstrapConfig(pool_n=20_000, workers=1))
-        r3 = bootstrap(4.8, 35.1, 4, 120, seed=5, config=BootstrapConfig(pool_n=20_000, workers=3))
-        np.testing.assert_equal([e.as_dict() for e in r1.estimates], [e.as_dict() for e in r3.estimates])
+        def recording(h, pool, sweep=None):
+            solves.append((h, pool))
+            return solve(h, pool, sweep)
+
+        monkeypatch.setattr(inference, "mle_sigma", recording)
+        res = bootstrap(4.8, 35.1, 4, 1100, seed=5, config=BootstrapConfig(pool_n=20_000))
+        assert len(solves) == 1100
+        for (h, pool), swept in zip(solves, res.estimates):
+            cold = solve(h, pool)
+            assert swept.status == cold.status
+            if cold.converged:
+                assert abs(swept.sigma_hat - cold.sigma_hat) <= 2 * inference.BRACKET_TOL
 
     def test_sweep_saves_passes(self, monkeypatch):
-        # Without a sweep, a replicate solve takes about 2.97 passes here.
+        # Solved cold, a replicate takes about 8 passes here.
         calls = []
         passes = density._pass
 

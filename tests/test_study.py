@@ -202,6 +202,27 @@ class TestRunStudy:
         with pytest.raises(StudySchemaError, match="empty"):
             run_study(spec)
 
+    def test_default_grid_at_k2_names_h_grid(self, tmp_path):
+        # From 1/k + 0.002 to 0.5 leaves no default grid at k = 2.
+        spec = StudySpec(kind="mle_curve", parameters={"k": 2, "theta": 1.0}, seed=1, out=str(tmp_path))
+        with pytest.raises(StudySchemaError, match="h_grid") as err:
+            run_study(spec)
+        assert err.value.fields == ["h_grid"]
+
+    def test_short_posterior_chain_rejected_before_the_pool(self, tmp_path, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the pool was built before the chain length was checked")
+
+        monkeypatch.setattr(inference, "pool_for_sigma_range", not_reached)
+        spec = StudySpec(
+            kind="posterior_hist",
+            parameters={"data": "lyme", "chain_length": 1500, "fix_theta": 4.8},
+            seed=1,
+            out=str(tmp_path),
+        )
+        with pytest.raises(ValueError, match="1000 retained draws"):
+            run_study(spec)
+
     def test_unsorted_grid_rejected(self, tmp_path):
         spec = StudySpec(
             kind="instability_prob",

@@ -15,10 +15,10 @@ general matrix (the MH route with the neutral proposal), the files that
 stuck vertex-mixture chain (sigma = -1e4, thinned by 100) and for
 rejection at sigma < 0 on both envelopes (the neutral one at sigma = -1,
 k = 4, and the vertex mixture at sigma = -10, k = 10), ``bootstrap``
-records at three generators and the first again on two threads and, with
-1100 replicates (more than one sweep chunk), on one and two threads, cold and
-warm ``mle_sigma`` solves on a fresh mixture pool from beyond one cap to
-beyond the other and at both unbounded fringes, the CSVs of a
+records at three generators and the first again with 1100 replicates, cold
+``mle_sigma`` solves and warm ones through one ``GSigmaTable`` on a fresh
+mixture pool from beyond one cap to beyond the other and at both unbounded
+fringes, the CSVs of a
 ``sampling_dist``, a ``bootstrap_hist``, an ``mle_curve``, a
 ``cdf_panel`` and the README's ``instability_prob`` study, single-component pools' base log-weights and proposal
 log-densities, the log-normalizer and the log-likelihood under an
@@ -185,25 +185,22 @@ def bootstrap() -> None:
         res = inference.bootstrap(theta, sigma, k, 200, 23, inference.BootstrapConfig(pool_n=100_000, sampler=sampler))
         records = [repr(e) for e in res.estimates]
         _show(f"bootstrap theta={theta} sigma={sigma} k={k}", records, repr(res.as_dict()))
-    # The first generator again, its replicates solved on two threads, and
-    # with more replicates than one sweep chunk (1024) on one and two threads.
-    res = inference.bootstrap(4.8, 35.1, 4, 200, 23, inference.BootstrapConfig(pool_n=100_000, workers=2))
-    _show("bootstrap theta=4.8 sigma=35.1 k=4 workers=2", [repr(e) for e in res.estimates], repr(res.as_dict()))
-    for workers in (1, 2):
-        res = inference.bootstrap(4.8, 35.1, 4, 1100, 23, inference.BootstrapConfig(pool_n=20_000, workers=workers))
-        _show(f"bootstrap theta=4.8 sigma=35.1 k=4 m=1100 workers={workers}", [repr(e) for e in res.estimates], repr(res.as_dict()))
+    # The first generator again with 1100 replicates, all solved through one table.
+    res = inference.bootstrap(4.8, 35.1, 4, 1100, 23, inference.BootstrapConfig(pool_n=20_000))
+    _show("bootstrap theta=4.8 sigma=35.1 k=4 m=1100", [repr(e) for e in res.estimates], repr(res.as_dict()))
 
 
 def mle_sigma() -> None:
     # On k = 2 a 100k pool is dense enough at its floor for roots past the
-    # cap to lie outside the unbounded fringe.  Each h is solved cold (on a
-    # copy of the pool, whose pass memo is fresh) and warm.
+    # cap to lie outside the unbounded fringe.  Each h is solved cold and
+    # warm, through one table that the solves before it filled.
     pool = build_mixture_pool(MutationParams.symmetric(1.0, 2), (0.5, 0.2, 2.0, 8.0), 100_000, 37, keep_draws=False)
     cases = [(f"root {s:g}", g_sigma(pool, s)) for s in (-2e5, -300.0, -0.5, 0.5, 20.0, 3000.0, 2e5)]
+    table = inference.GSigmaTable(pool)
     for label, hv in cases + [("floor", pool.h_min), ("ceiling", pool.h_max)]:
         h = Homozygosity(float(hv), 2)
-        cold = inference.mle_sigma(h, dataclasses.replace(pool))
-        warm = inference.mle_sigma(h, pool)
+        cold = inference.mle_sigma(h, pool)
+        warm = inference.mle_sigma(h, pool, sweep=table)
         _show(f"mle_sigma {label}", repr(cold), repr(warm))
 
 
