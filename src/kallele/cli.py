@@ -26,7 +26,6 @@ from .core import FrequencyParseError, MutationParams, load_dataset, homozygosit
 from .density import pool_for_sigma_range
 from .inference import (
     DEFAULT_PRIOR_BOUNDS,
-    _check_alphas,
     _check_level,
     _check_replicates,
     _check_retained,
@@ -48,6 +47,8 @@ __all__ = ["main"]
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
+        if seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
         return int(seed)
     import numpy as np
 
@@ -132,32 +133,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_single_dataset(source: str):
-    datasets = load_dataset(source)
-    if len(datasets) != 1:
-        raise FrequencyParseError(
-            f"{source}: expected exactly one dataset for analysis, found {len(datasets)}"
-        )
-    return datasets[0]
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     started = time.time()
     seed = _resolve_seed(args.seed)
     if args.chain_csv and args.method != "posterior":
         raise ValueError(f"--chain-csv needs --method posterior, got --method {args.method}")
     # Before any pilot fit or chain: a bad value would only surface after them.
-    if args.method in ("bootstrap", "posterior"):
+    if args.method != "mle":
         _check_level(args.level)
     if args.method == "bootstrap":
         _check_replicates(args.m)
     if args.method == "posterior":
         _check_retained(args.chain_length - PosteriorConfig().burn_in)
-    if args.method == "monotone-ci":
-        _check_alphas(args.alpha / 2.0, args.alpha / 2.0)
     # The posterior's --chain-csv too, which would otherwise fail only after the chain.
     _check_writable(*(p for p in (args.out, args.chain_csv) if p))
-    label, point = _load_single_dataset(args.data)
+    label, point = load_dataset(args.data)
     h = homozygosity(point)
     k = point.k
     inputs = {
@@ -194,14 +184,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 return 1
             theta = pilot.theta_hat
             print(f"analyze[{label}]: conditioning on theta MLE = {theta:.4g}")
-        flags["fix_theta"] = theta
-        flags["alpha"] = args.alpha
+        flags.update({"fix_theta": theta, "level": args.level})
         params = MutationParams.symmetric(theta, k)
         cfg = MonotoneCiConfig()
         pool = pool_for_sigma_range(
             params, args.pool_size, seed, sigma_lo=cfg.sigma_range[0], sigma_hi=cfg.sigma_range[1]
         )
-        interval = monotone_ci(h, pool, args.alpha / 2.0, args.alpha / 2.0, cfg)
+        tail = (1.0 - args.level) / 2.0
+        interval = monotone_ci(h, pool, tail, tail, cfg)
         outputs["interval"] = interval.as_dict()
         print(f"analyze[{label}] exact monotone {interval.level:.0%} CI: "
               f"({interval.lower:.4g}, {interval.upper:.4g})")
@@ -310,8 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument(
         "--method", required=True, choices=["mle", "bootstrap", "monotone-ci", "posterior"]
     )
-    ana.add_argument("--alpha", type=float, default=0.05, help="total alpha for monotone-ci")
-    ana.add_argument("--level", type=float, default=0.95)
+    ana.add_argument("--level", type=float, default=0.95, help="interval level for every method but mle")
     ana.add_argument("--m", type=int, default=1000, help="bootstrap replicates")
     ana.add_argument("--sigma", type=float, default=None, help="generator sigma for bootstrap")
     ana.add_argument("--chain-length", type=int, default=100_000)

@@ -308,18 +308,19 @@ def parse_frequencies(text: str) -> SimplexPoint:
     return SimplexPoint(vals, sum_tol=INGEST_SUM_TOL)
 
 
-def load_dataset(source: str) -> list[tuple[str, SimplexPoint]]:
-    """Load labelled frequency vectors from a bundled name or a file.
+def load_dataset(source: str) -> tuple[str, SimplexPoint]:
+    """Load one labelled frequency vector from a bundled name or a file.
 
-    Plain-text files hold one comma-separated dataset per line (labelled by
-    line number); a ``.json`` file holds a single object
+    A plain-text file holds one comma-separated dataset on one line
+    (labelled by its line number), among blank and ``#`` comment lines; a
+    ``.json`` file holds a single object
     ``{"k": int, "frequencies": [...], "label": str}``.
     """
     import json
     import os
 
     if source.strip().lower() in BUNDLED_DATASETS:
-        return [(source.strip().lower(), bundled_dataset(source))]
+        return source.strip().lower(), bundled_dataset(source)
     if not os.path.exists(source):
         raise FrequencyParseError(
             f"{source!r} is neither a bundled dataset name nor an existing file"
@@ -339,29 +340,25 @@ def load_dataset(source: str) -> list[tuple[str, SimplexPoint]]:
             raise FrequencyParseError(f"{source}: declared k={k} but {len(freqs)} frequencies listed")
         label = str(obj.get("label", os.path.basename(source)))
         # Entries go through the text parser, which rejects any that is not a number.
-        point = parse_frequencies(", ".join(str(v) for v in freqs))
-        return [(label, point)]
-    out: list[tuple[str, SimplexPoint]] = []
+        return label, parse_frequencies(", ".join(str(v) for v in freqs))
     with open(source) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                out.append((f"line{lineno}", parse_frequencies(line)))
-            except FrequencyParseError as exc:
-                raise FrequencyParseError(f"{source}:{lineno}: {exc}") from None
-    if not out:
-        raise FrequencyParseError(f"{source}: no datasets found")
-    return out
+        found = [(n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line and not line.startswith("#")]
+    if len(found) != 1:
+        raise FrequencyParseError(f"{source}: expected exactly one dataset line, found {len(found)}")
+    lineno, line = found[0]
+    try:
+        return f"line{lineno}", parse_frequencies(line)
+    except FrequencyParseError as exc:
+        raise FrequencyParseError(f"{source}:{lineno}: {exc}") from None
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic substream generator.
 
     Every random quantity in the package flows from one user seed through
-    named substream paths, so results are reproducible and independent of
-    worker count or evaluation order.
+    named substream paths, so results do not depend on evaluation order.
+    Their last bits do depend on the BLAS thread count, which sets the
+    summation order of the pool passes' dot products.
     """
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(path)))
 

@@ -26,8 +26,9 @@ weighted fraction at or below an h, with its logit and slope.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -138,18 +139,14 @@ class WeightedPool:
     k: int
     h_min: float
     h_max: float
-    # Per-pool results that queries on the pool share: the support margins,
-    # a pure function of the pool, so the memo never changes a result.
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def reweighted(self, theta: MutationParams) -> WeightedPool:
         """The pool as a pool of draws for another mutation parameter.
 
-        The view shares ``h``, ``s``, the proposal log-density, ``draws`` and
-        the support margins with this pool, and has its own base log-weights,
-        ``theta`` and memo.  Symmetric targets need only the stored
-        sufficient statistic; general per-allele targets need the retained
-        draws.
+        The view shares ``h``, ``s``, the proposal log-density and ``draws``
+        with this pool, and has its own base log-weights and ``theta``.
+        Symmetric targets need only the stored sufficient statistic; general
+        per-allele targets need the retained draws.
         """
         if theta == self.theta:
             return self
@@ -157,21 +154,20 @@ class WeightedPool:
             raise ValueError(f"pool has k={self.k}, target has k={theta.k}")
         if theta.mode != "symmetric" and self.draws is None:
             raise ValueError("general per-allele reweighting requires a pool built with keep_draws=True")
-        view = replace(self, b=_base_log_weights(theta, self.s, self.draws, self.proposal_log_density), theta=theta)
-        view._memo["support_margin"] = self.support_margin()
-        return view
+        return replace(self, b=_base_log_weights(theta, self.s, self.draws, self.proposal_log_density), theta=theta)
 
+    @functools.cached_property
     def support_margin(self) -> tuple[float, float]:
         """Width of the pool's lowest/highest ``MIN_SUPPORT`` homozygosities.
 
         Estimates inside these fringes hang on a handful of draws; the MLE
         solver classifies them as unbounded rather than reporting a number.
+        Computed on first use: pools that serve only CDF passes never pay
+        for the partition.
         """
-        if "support_margin" not in self._memo:
-            j = min(MIN_SUPPORT, self.n) - 1
-            part = np.partition(self.h, (j, self.n - 1 - j))
-            self._memo["support_margin"] = (float(part[j] - self.h_min), float(self.h_max - part[self.n - 1 - j]))
-        return self._memo["support_margin"]
+        j = min(MIN_SUPPORT, self.n) - 1
+        part = np.partition(self.h, (j, self.n - 1 - j))
+        return float(part[j] - self.h_min), float(self.h_max - part[self.n - 1 - j])
 
 
 def _dirichlet_logconst(alphas: np.ndarray) -> float:
@@ -383,6 +379,11 @@ def _weights(base: np.ndarray, stat: np.ndarray, sigma: float) -> tuple[np.ndarr
     return lw, top, i_top
 
 
+def _check_k(h: Homozygosity, pool: WeightedPool) -> None:
+    if h.k != pool.k:
+        raise ValueError(f"homozygosity has k={h.k}, pool has k={pool.k}")
+
+
 def _fraction_below(w_below: float, w_above: float) -> float:
     return 1.0 / (1.0 + w_above / w_below) if w_below > 0.0 else 0.0
 
@@ -553,6 +554,7 @@ def cdf_homozygosity(pool: WeightedPool, sigma: float, h: Homozygosity) -> float
     errors per step in sigma, so F stays exactly monotone there as well.
     This is the F of the CDF pass, ``_cdf_logit``.
     """
+    _check_k(h, pool)
     return _cdf_logit(pool, sigma, h.value)[0]
 
 

@@ -41,6 +41,7 @@ from .density import (
     WeightedPool,
     Tilt,
     _cdf_logit,
+    _check_k,
     _log_z_tangent,
     _surface,
     _surface_base,
@@ -82,6 +83,8 @@ SIGMA_CAP = 1e5
 BRACKET_INIT = 64.0
 # An exact CI endpoint's Newton solve stops within this of its root.
 CI_TOL = 1e-6
+# The joint MLE searches theta in this box.
+THETA_BOUNDS = (0.1, 50.0)
 # Draws of the joint MLE that re-estimates theta in each replicate of a
 # joint_refit bootstrap.
 JOINT_REFIT_POOL_N = 20_000
@@ -261,7 +264,6 @@ class PosteriorChain:
 
 @dataclass(frozen=True)
 class JointMleConfig:
-    theta_bounds: tuple[float, float] = (0.1, 50.0)
     pool_n: int = 100_000
 
 
@@ -372,11 +374,12 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: GSigmaTable | None = N
     the score and ESS come from the last pass.  Statuses replace
     exceptions; callers must branch on ``status``.
     """
+    _check_k(h, pool)
     table = GSigmaTable(pool) if sweep is None else sweep
     if table.pool is not pool:
         raise ValueError("mle_sigma: the sweep table belongs to another pool")
     hv = float(h.value)
-    margin_lo, margin_hi = pool.support_margin()
+    margin_lo, margin_hi = pool.support_margin
     if hv <= pool.h_min + margin_lo:
         return MleResult(
             sigma_hat=math.inf,
@@ -553,14 +556,14 @@ def mle_joint(
         raise ValueError(f"pool size must be at least 1, got {config.pool_n}")
     k = x.k
     h = homozygosity(x)
-    theta_box = config.theta_bounds
+    theta_box = THETA_BOUNDS
     sigma_box = (-SIGMA_CAP, SIGMA_CAP)
     rungs = _ladder(theta_box, k)
     # Up to SIGMA_CAP, the defensive concentrations join those aimed at theta: a lone a = theta/k
     # proposal at small theta draws only near-vertex populations, blind to moderate homozygosities.
     pilot_n = max(config.pool_n // _PILOT_SHARE, 1)
     pilot = pool_for_sigma_range(MutationParams.symmetric(_THETA_START, k), pilot_n, seed, sigma_hi=SIGMA_CAP, centers=rungs)
-    margin_lo, margin_hi = pilot.support_margin()
+    margin_lo, margin_hi = pilot.support_margin
     if not pilot.h_min + margin_lo < h.value < pilot.h_max - margin_hi:
         # The data sit at the singular composition itself, not in one theta's blind spot.
         inner = mle_sigma(h, pilot)
@@ -719,6 +722,7 @@ def monotone_ci(
     """
     config = config or MonotoneCiConfig()
     _check_alphas(alpha1, alpha2)
+    _check_k(h, pool)
     s_lo, s_hi = config.sigma_range
     at = functools.partial(_cdf_logit, pool, cdf_at=float(h.value))
     end_lo, end_hi = at(s_lo), at(s_hi)

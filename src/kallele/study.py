@@ -18,6 +18,7 @@ import numpy as np
 from .core import Homozygosity, MutationParams, SimplexPoint, parse_frequencies
 from .density import (
     WeightedPool,
+    _check_k,
     _fraction_below,
     _weights,
     pool_for_sigma_range,
@@ -92,18 +93,20 @@ class StudySpec:
         return cls(
             kind=str(obj["kind"]),
             parameters=dict(obj["parameters"]),
-            seed=int(_number(obj, "seed", "study spec")),
+            seed=_integer(obj, "seed", "study spec", minimum=0),
             out=str(obj["out"]),
         )
 
 
-def mle_curve(k: int, h_grid: list[float], pool: WeightedPool) -> list[dict]:
+def mle_curve(h_grid: list[float], pool: WeightedPool) -> list[dict]:
     """The conditional MLE as a function of observed homozygosity.
 
     On a shared pool the emitted curve is non-increasing in h, diverging as
-    h falls to the 1/k floor.  Grid points at or below 1/k are rejected.
-    The grid's solves, in grid order, share one ``GSigmaTable`` of passes.
+    h falls to the 1/k floor (k is the pool's).  Grid points at or below
+    1/k are rejected.  The grid's solves, in grid order, share one
+    ``GSigmaTable`` of passes.
     """
+    k = pool.k
     bad = [hv for hv in h_grid if hv <= 1.0 / k]
     if bad:
         raise ValueError(f"h grid points at or below 1/k={1.0 / k:.6g}: {bad}")
@@ -170,6 +173,7 @@ def cdf_panel(
     weighted percentiles and the CDF value at the observed h (which sits at
     the nominal tail mass when the intensity is a monotone-CI endpoint).
     """
+    _check_k(h, pool)
     edges = np.linspace(1.0 / pool.k, 1.0, bins + 1)
     hist_rows, summary_rows = [], []
     for sigma in sigma_values:
@@ -235,6 +239,16 @@ def _number(params: dict, name: str, kind: str, default: float | None = None) ->
     return value
 
 
+def _integer(params: dict, name: str, kind: str, default: int | None = None, minimum: int | None = None) -> int:
+    """An integral numeric parameter (``default`` when absent), at least ``minimum``, or a schema error naming it."""
+    value = _number(params, name, kind, default)
+    if value != int(value):
+        raise StudySchemaError(f"{kind}: {name} must be an integer, got {value!r}", [name])
+    if minimum is not None and value < minimum:
+        raise StudySchemaError(f"{kind}: {name} must be at least {minimum}, got {value!r}", [name])
+    return int(value)
+
+
 def _number_list(params: dict, name: str, kind: str, length: int | None = None) -> list[float]:
     """A list-of-numbers parameter (of ``length`` entries if given), or a schema error naming it."""
     value = params[name]
@@ -255,9 +269,12 @@ def run_study(spec: StudySpec) -> dict:
     def num(name: str, default: float | None = None) -> float:
         return _number(p, name, spec.kind, default)
 
+    def integer(name: str, default: int | None = None, minimum: int | None = None) -> int:
+        return _integer(p, name, spec.kind, default, minimum)
+
     if spec.kind == "mle_curve":
         _require(p, ["k", "theta"], spec.kind)
-        k = int(num("k"))
+        k = integer("k")
         theta = float(num("theta"))
         grid = p.get("h_grid")
         if grid is not None:
@@ -270,15 +287,15 @@ def run_study(spec: StudySpec) -> dict:
                     "past its end at 0.5; give h_grid",
                     ["h_grid"],
                 )
-            grid = np.linspace(start, 0.5, int(num("grid_points", 100))).tolist()
+            grid = np.linspace(start, 0.5, integer("grid_points", 100, minimum=1)).tolist()
         if not grid:
             raise StudySchemaError("mle_curve: empty h_grid", ["h_grid"])
         params = MutationParams.symmetric(theta, k)
         pool = pool_for_sigma_range(
-            params, int(num("pool_n", 100_000)), _subseed(spec.seed, 1),
+            params, integer("pool_n", 100_000), _subseed(spec.seed, 1),
             sigma_lo=-SIGMA_CAP, sigma_hi=SIGMA_CAP,
         )
-        rows = mle_curve(k, list(grid), pool)
+        rows = mle_curve(list(grid), pool)
         path = os.path.join(spec.out, "mle_curve.csv")
         _write_csv(path, rows, ["h", "sigma_hat", "status"])
         outputs["table"] = path
@@ -289,18 +306,18 @@ def run_study(spec: StudySpec) -> dict:
         result = bootstrap(
             float(num("theta")),
             float(num("sigma")),
-            int(num("k")),
-            int(num("n_datasets", 1000)),
+            integer("k"),
+            integer("n_datasets", 1000),
             spec.seed,
-            BootstrapConfig(pool_n=int(num("pool_n", 100_000))),
+            BootstrapConfig(pool_n=integer("pool_n", 100_000)),
         )
         outputs["table"] = _write_replicates(spec.out, "sampling_dist.csv", result)
 
     elif spec.kind == "bootstrap_hist":
         _require(p, ["k", "theta", "sigma", "m"], spec.kind)
-        cfg = BootstrapConfig(level=float(num("level", 0.95)), pool_n=int(num("pool_n", 100_000)))
+        cfg = BootstrapConfig(level=float(num("level", 0.95)), pool_n=integer("pool_n", 100_000))
         result = bootstrap(
-            float(num("theta")), float(num("sigma")), int(num("k")), int(num("m")), spec.seed, cfg
+            float(num("theta")), float(num("sigma")), integer("k"), integer("m"), spec.seed, cfg
         )
         outputs["table"] = _write_replicates(spec.out, "bootstrap_hist.csv", result)
         summary_path = os.path.join(spec.out, "bootstrap_summary.json")
@@ -310,20 +327,21 @@ def run_study(spec: StudySpec) -> dict:
 
     elif spec.kind == "cdf_panel":
         _require(p, ["k", "theta", "h", "sigma_values"], spec.kind)
-        k = int(num("k"))
+        k = integer("k")
+        bins = integer("bins", 60, minimum=1)
         sig_values = _number_list(p, "sigma_values", spec.kind)
         if not sig_values:
             raise StudySchemaError("cdf_panel: empty sigma_values", ["sigma_values"])
         params = MutationParams.symmetric(float(num("theta")), k)
         pool = pool_for_sigma_range(
-            params, int(num("pool_n", 100_000)), _subseed(spec.seed, 1),
+            params, integer("pool_n", 100_000), _subseed(spec.seed, 1),
             sigma_lo=min(sig_values + [0.0]), sigma_hi=max(sig_values + [0.0]),
         )
         hist_rows, summary_rows = cdf_panel(
             Homozygosity(value=float(num("h")), k=k),
             pool,
             sig_values,
-            bins=int(num("bins", 60)),
+            bins=bins,
         )
         path = os.path.join(spec.out, "cdf_panel.csv")
         _write_csv(path, hist_rows, ["sigma", "bin_left", "bin_right", "mass"])
@@ -340,9 +358,9 @@ def run_study(spec: StudySpec) -> dict:
         )
         cfg = PosteriorConfig(
             theta_fixed=(float(num("fix_theta")) if p.get("fix_theta") is not None else None),
-            pool_n=int(num("pool_n", 100_000)),
+            pool_n=integer("pool_n", 100_000),
         )
-        chain_length = int(num("chain_length"))
+        chain_length = integer("chain_length")
         # Before the pool and the chain, which would only be thrown away.
         _check_retained(chain_length - cfg.burn_in)
         # A side the spec leaves out takes its default; a given side is kept as passed.
@@ -378,11 +396,11 @@ def run_study(spec: StudySpec) -> dict:
         if grid != sorted(grid):
             raise StudySchemaError("instability_prob: sigma_grid must be sorted", ["sigma_grid"])
         rows = instability_probability(
-            int(num("k")),
+            integer("k"),
             float(num("theta")),
             grid,
             float(num("epsilon")),
-            int(num("n_per_sigma", 1000)),
+            integer("n_per_sigma", 1000),
             spec.seed,
         )
         path = os.path.join(spec.out, "instability_prob.csv")

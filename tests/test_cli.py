@@ -147,7 +147,7 @@ class TestAnalyze:
 
     def test_monotone_ci_with_fixed_theta(self, tmp_path, capsys):
         code = run_cli(
-            "analyze", "--data", "lyme", "--method", "monotone-ci", "--alpha", "0.05",
+            "analyze", "--data", "lyme", "--method", "monotone-ci", "--level", "0.95",
             "--fix-theta", "4.8", "--pool-size", "50000", "--seed", "5",
             "--out", str(tmp_path / "ci.json"),
         )
@@ -156,6 +156,7 @@ class TestAnalyze:
         iv = record["outputs"]["interval"]
         assert iv["lower"] < 0 < iv["upper"]
         assert iv["level"] == pytest.approx(0.95)
+        assert record["flags"]["level"] == 0.95
 
     def test_bootstrap_explicit_params(self, tmp_path):
         code = run_cli(
@@ -269,8 +270,8 @@ class TestAnalyze:
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("argv", [
-        ["--method", "monotone-ci", "--alpha", "1.5"],
-        ["--method", "monotone-ci", "--alpha", "0"],
+        ["--method", "monotone-ci", "--level", "1.5"],
+        ["--method", "monotone-ci", "--level", "1"],
         ["--method", "bootstrap", "--m", "50"],
     ])
     def test_bad_alpha_or_m_rejected_before_the_pilot(self, monkeypatch, capsys, argv):
@@ -310,6 +311,12 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--chain-csv" in err
         assert not csv.exists()
+
+    def test_alpha_flag_is_gone(self):
+        # monotone-ci takes its level from --level, as bootstrap and posterior do
+        with pytest.raises(SystemExit) as err:
+            run_cli("analyze", "--data", "lyme", "--method", "monotone-ci", "--alpha", "0.05")
+        assert err.value.code == 2
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit) as err:
@@ -368,6 +375,8 @@ class TestStudyCommand:
             ("mle_curve", "k", {"k": [1], "theta": 4.8}),
             ("posterior_hist", "prior_theta",
              {"data": "lyme", "chain_length": 3000, "prior_theta": 5, "prior_sigma": [0, 100]}),
+            ("mle_curve", "k", {"k": 4.5, "theta": 4.8, "h_grid": [0.3]}),
+            ("cdf_panel", "bins", {"k": 4, "theta": 4.8, "h": 0.3, "sigma_values": [0.0], "bins": 0}),
         ],
     )
     def test_mistyped_scalar_is_schema_error(self, tmp_path, capsys, kind, name, params):
@@ -385,6 +394,16 @@ class TestStudyCommand:
 
 
 class TestErrorMapping:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--k", "4", "--theta", "4.8", "--n", "10"],
+        ["analyze", "--data", "lyme", "--method", "mle"],
+    ])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "o.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and err.count("\n") == 1
+
     def test_rejection_starved_is_one_line_exit_2(self, tmp_path, monkeypatch, capsys):
         def starved(*args, **kwargs):
             raise RejectionStarvedError("rejection acceptance rate 1.0e-07 after 10000000 proposals")

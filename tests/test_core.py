@@ -192,15 +192,22 @@ class TestParseFrequencies:
 class TestLoadDataset:
     def test_text_file(self, tmp_path):
         f = tmp_path / "data.txt"
-        f.write_text("0.5, 0.5\n0.2, 0.3, 0.5\n")
-        out = load_dataset(str(f))
-        assert len(out) == 2
-        assert out[1][1].k == 3
+        f.write_text("# toy\n\n0.2, 0.3, 0.5\n")
+        label, p = load_dataset(str(f))
+        assert label == "line3"
+        assert p.values == (0.2, 0.3, 0.5)
+
+    @pytest.mark.parametrize("text, count", [("0.5, 0.5\n0.2, 0.3, 0.5\n", 2), ("# nothing\n\n", 0)])
+    def test_text_file_needs_one_dataset(self, tmp_path, text, count):
+        f = tmp_path / "data.txt"
+        f.write_text(text)
+        with pytest.raises(FrequencyParseError, match=f"found {count}"):
+            load_dataset(str(f))
 
     def test_json_file(self, tmp_path):
         f = tmp_path / "data.json"
         f.write_text('{"k": 2, "frequencies": [0.4, 0.6], "label": "toy"}')
-        [(label, p)] = load_dataset(str(f))
+        label, p = load_dataset(str(f))
         assert label == "toy"
         assert p.values == (0.4, 0.6)
 

@@ -324,8 +324,7 @@ class TestReweighted:
         for name in ("h", "s", "proposal_log_density", "draws"):
             assert getattr(view, name) is getattr(pool, name)
         assert view.theta == theta and not np.shares_memory(view.b, pool.b)
-        assert view.support_margin() == pool.support_margin()
-        assert view._memo is not pool._memo
+        assert view.support_margin == pool.support_margin
         assert pool.reweighted(pool.theta) is pool
 
     def test_targets_it_cannot_reach(self, pool_k4):
@@ -456,6 +455,10 @@ class TestCdfHomozygosity:
         h = Homozygosity(value=0.2500001, k=4)
         assert h.value < pool_k4.h_min
         assert cdf_homozygosity(pool_k4, 13.0, h) == 0.0
+
+    def test_homozygosity_of_another_k_raises(self, pool_k4):
+        with pytest.raises(ValueError, match="k=5"):
+            cdf_homozygosity(pool_k4, 13.0, Homozygosity(0.22, 5))
 
     def test_nondecreasing_in_sigma(self, mixture_pool_k4):
         h = Homozygosity(0.288, 4)

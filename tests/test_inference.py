@@ -49,6 +49,10 @@ class TestMleSigma:
             s_hi = g_sigma(mixture_pool_k4, hi) - hv
             assert s_lo >= 0.0 >= s_hi
 
+    def test_homozygosity_of_another_k_raises(self, pool_k4):
+        with pytest.raises(ValueError, match="k=5"):
+            mle_sigma(Homozygosity(0.22, 5), pool_k4)
+
     def test_convergence_criteria(self, mixture_pool_k4):
         res = mle_sigma(Homozygosity(0.3, 4), mixture_pool_k4)
         lo, hi = res.bracket
@@ -223,6 +227,10 @@ class TestMleJoint:
         assert res.ess_at_solution >= 2 * density.DEFAULT_ESS_FLOOR
         assert -60.0 < res.sigma_hat < -30.0
 
+    def test_theta_box_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            JointMleConfig(theta_bounds=(0.1, 10.0))
+
     def test_uniform_unbounded_at_every_theta(self):
         res = mle_joint(SimplexPoint((0.25,) * 4), seed=3, config=JointMleConfig(pool_n=10_000))
         assert res.status == "unbounded_above"
@@ -346,6 +354,10 @@ class TestMonotoneCi:
             monotone_ci(h, pool_k4, 0.0, 0.025)
         with pytest.raises(ValueError):
             monotone_ci(h, pool_k4, 0.6, 0.6)
+
+    def test_homozygosity_of_another_k_raises(self, pool_k4):
+        with pytest.raises(ValueError, match="k=5"):
+            monotone_ci(Homozygosity(0.22, 5), pool_k4, 0.025, 0.025)
 
     def test_degenerate_alphas_collapse_to_median_match(self, mixture_pool_k4, monkeypatch):
         monkeypatch.setattr(inference, "CI_TOL", 1e-8)

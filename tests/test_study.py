@@ -31,7 +31,7 @@ def curve_pool():
 class TestMleCurve:
     def test_monotone_nonincreasing(self, curve_pool):
         grid = np.linspace(0.26, 0.5, 40).tolist()
-        rows = mle_curve(4, grid, curve_pool)
+        rows = mle_curve(grid, curve_pool)
         finite = [r["sigma_hat"] for r in rows if r["status"] == "converged"]
         sigmas = [r["sigma_hat"] for r in rows]
         assert len(finite) == len(rows)
@@ -39,24 +39,24 @@ class TestMleCurve:
 
     def test_sweep_matches_cold_solves(self, curve_pool):
         grid = np.linspace(0.26, 0.5, 40).tolist()
-        for row, hv in zip(mle_curve(4, grid, curve_pool), grid):
+        for row, hv in zip(mle_curve(grid, curve_pool), grid):
             cold = mle_sigma(Homozygosity(hv, 4), curve_pool)
             assert row["status"] == cold.status
             assert abs(row["sigma_hat"] - cold.sigma_hat) <= 2 * inference.BRACKET_TOL
 
     def test_statuses_preserved_near_floor(self, curve_pool):
-        rows = mle_curve(4, [0.2500001, 0.3], curve_pool)
+        rows = mle_curve([0.2500001, 0.3], curve_pool)
         assert rows[0]["status"] == "unbounded_above"
         assert rows[0]["sigma_hat"] == math.inf
         assert rows[1]["status"] == "converged"
 
     def test_rejects_grid_below_floor(self, curve_pool):
         with pytest.raises(ValueError, match="1/k"):
-            mle_curve(4, [0.2, 0.3], curve_pool)
+            mle_curve([0.2, 0.3], curve_pool)
 
     def test_rejects_unsorted(self, curve_pool):
         with pytest.raises(ValueError, match="sorted"):
-            mle_curve(4, [0.4, 0.3], curve_pool)
+            mle_curve([0.4, 0.3], curve_pool)
 
 
 class TestSamplingDistribution:
@@ -112,6 +112,10 @@ class TestCdfPanel:
         hist, summary = cdf_panel(h, pool, [iv.lower, iv.upper])
         assert summary[0]["F_at_h"] == pytest.approx(0.025, abs=1e-4)
         assert summary[1]["F_at_h"] == pytest.approx(0.975, abs=1e-4)
+
+    def test_homozygosity_of_another_k_raises(self, curve_pool):
+        with pytest.raises(ValueError, match="k=5"):
+            cdf_panel(Homozygosity(0.22, 5), curve_pool, [0.0])
 
     def test_histogram_mass_sums_to_one(self, curve_pool):
         h = Homozygosity(0.3, 4)
@@ -253,6 +257,18 @@ class TestRunStudy:
             ("posterior_hist", "prior_sigma",
              {"data": "lyme", "chain_length": 3000, "prior_theta": [0, 5], "prior_sigma": [0, 1, 2]}),
             ("posterior_hist", "data", {"data": 5, "chain_length": 3000}),
+            # int() would truncate a count, or run an empty grid or histogram.
+            ("mle_curve", "k", {"k": 4.5, "theta": 4.8, "h_grid": [0.3]}),
+            ("mle_curve", "pool_n", {"k": 4, "theta": 4.8, "h_grid": [0.3], "pool_n": 20_000.5}),
+            ("mle_curve", "grid_points", {"k": 4, "theta": 4.8, "grid_points": 2.5}),
+            ("mle_curve", "grid_points", {"k": 4, "theta": 4.8, "grid_points": 0}),
+            ("sampling_dist", "n_datasets", {"k": 4, "theta": 4.8, "sigma": 1.0, "n_datasets": 100.5}),
+            ("bootstrap_hist", "m", {"k": 4, "theta": 4.8, "sigma": 1.0, "m": 150.5}),
+            ("cdf_panel", "bins", {"k": 4, "theta": 4.8, "h": 0.3, "sigma_values": [0.0], "bins": 2.5}),
+            ("cdf_panel", "bins", {"k": 4, "theta": 4.8, "h": 0.3, "sigma_values": [0.0], "bins": 0}),
+            ("posterior_hist", "chain_length", {"data": "lyme", "chain_length": 3000.5}),
+            ("instability_prob", "n_per_sigma",
+             {"k": 4, "theta": 5.0, "sigma_grid": [1.0], "epsilon": 0.2, "n_per_sigma": 10.5}),
         ],
     )
     def test_mistyped_list_is_schema_error(self, tmp_path, kind, name, params):
@@ -265,6 +281,15 @@ class TestRunStudy:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "mle_curve", "parameters": {"k": 4, "theta": 2.0},
                                     "seed": [3], "out": str(tmp_path / "o")}))
+        with pytest.raises(StudySchemaError, match="seed") as err:
+            StudySpec.from_json(str(path))
+        assert err.value.fields == ["seed"]
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_fractional_or_negative_seed_is_schema_error(self, tmp_path, seed):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "mle_curve", "parameters": {"k": 4, "theta": 2.0},
+                                    "seed": seed, "out": str(tmp_path / "o")}))
         with pytest.raises(StudySchemaError, match="seed") as err:
             StudySpec.from_json(str(path))
         assert err.value.fields == ["seed"]

@@ -38,7 +38,6 @@ pool policy calls it from, and so is the reweighted pool each joint MLE's
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -107,26 +106,15 @@ def _show_pools(label: str, pools) -> None:
         _show(f"{label} pool {i}", pool.h, pool.s, pool.b, pool.proposal_log_density, list(pool.concentrations))
 
 
-def _reweighted(pool, theta):
-    """``pool.reweighted(theta)``; where pools have no such method, the same view built from its base weights."""
-    if hasattr(pool, "reweighted"):
-        return pool.reweighted(theta)
-    return dataclasses.replace(pool, b=pool.base_log_weights_for(theta), theta=theta)
-
-
 @contextlib.contextmanager
 def _solved_bases():
-    """Yield a list that collects the (h, s, base log-weights) of every ``mle_sigma`` solve in the block.
-
-    A solve given base weights ``b`` in place of the pool's (``b=``) is
-    recorded with them, so a view and a pool with ``b`` hash the same.
-    """
+    """Yield a list that collects the (h, s, base log-weights) of every ``mle_sigma`` solve in the block."""
     original = inference.mle_sigma
     solved = []
 
-    def recording(h, pool, b=None):
-        solved.append((pool.h, pool.s, pool.b if b is None else b))
-        return original(h, pool) if b is None else original(h, pool, b=b)
+    def recording(h, pool, sweep=None):
+        solved.append((pool.h, pool.s, pool.b))
+        return original(h, pool, sweep)
 
     inference.mle_sigma = recording
     try:
@@ -214,7 +202,7 @@ def pools() -> None:
         pool = build_pool(theta, a, 50_000, 41, keep_draws=keep)
         parts = [pool.b, pool.proposal_log_density]
         if keep:
-            parts += [_reweighted(pool, MutationParams.symmetric(6.0, 4)).b, _reweighted(pool, general).b]
+            parts += [pool.reweighted(MutationParams.symmetric(6.0, 4)).b, pool.reweighted(general).b]
         _show(f"build_pool {label}", *parts)
 
 
@@ -270,7 +258,7 @@ def passes() -> None:
         for hv in (0.26, 0.3, 0.45, 0.9):
             h = Homozygosity(hv, 4)
             _show(f"cdf_homozygosity {label} h={hv}", [repr(cdf_homozygosity(pool, s, h)) for s in sigmas])
-        other = _reweighted(pool, MutationParams.symmetric(6.0, 4))
+        other = pool.reweighted(MutationParams.symmetric(6.0, 4))
         _show(f"tilt {label}", [repr(tilt(pool, s)) for s in sigmas], [repr(tilt(other, s)) for s in sigmas])
         _show(f"g_sigma {label}", [repr(g_sigma(pool, s)) for s in sigmas])
         models = [SelectionModel.overdominance(s) for s in sigmas]
