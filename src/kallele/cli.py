@@ -103,14 +103,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # Draws stay one array from the sampler to the file: no SimplexPoint per row.
     if args.sigma == 0.0:
         draws = _neutral_arrays(theta, args.n, seed)
-        report = {"method": "neutral", "acceptance_rate": 1.0, "n_proposals": args.n, "flags": [],
-                  "proposal_kind": None, "proposal_concentration": None}
+        report = {"method": "neutral", "acceptance_rate": 1.0, "n_proposals": args.n, "n_distinct": args.n,
+                  "flags": [], "proposal_kind": None, "proposal_concentration": None}
     else:
         draws, rep = _selection_arrays(theta, args.sigma, args.n, seed)
         report = {
             "method": rep.method,
             "acceptance_rate": rep.acceptance_rate,
             "n_proposals": rep.n_proposals,
+            "n_distinct": rep.n_distinct,
             "flags": list(rep.flags),
             "proposal_kind": rep.proposal_kind,
             "proposal_concentration": rep.proposal_concentration,

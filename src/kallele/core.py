@@ -365,6 +365,48 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 # Redrawn rows a Dirichlet draw may spend, per row asked for.
 _REDRAW_BUDGET = 100
+# NumPy sums a contiguous float row pairwise; up to this length in one
+# block, which ``_row_sums`` reproduces.
+_PAIRWISE_BLOCK = 128
+# Bytes of rows ``_row_sums`` adds at a time, so that a block's columns
+# stay in cache from one column's pass to the next.
+_ROW_BLOCK_BYTES = 1 << 20
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of a 2-D float64 array, bit for bit, added column by column.
+
+    NumPy adds a row of fewer than 8 entries one after another.  From 8 up
+    to ``_PAIRWISE_BLOCK`` entries it keeps eight running sums r0..r7 over
+    the longest prefix whose length is a multiple of 8, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the rest one at a time.
+    Here the same additions run down whole columns, which spares NumPy's
+    loop overhead per short row.  (A row of -0.0 alone sums to -0.0 here,
+    to 0.0 in NumPy.)  Longer rows are left to NumPy.
+    """
+    n, k = a.shape
+    if k > _PAIRWISE_BLOCK:
+        return a.sum(axis=1)
+    out = np.empty(n)
+    step = max(1, _ROW_BLOCK_BYTES // (8 * k))
+    for lo in range(0, n, step):
+        c = a[lo : lo + step].T
+        o = out[lo : lo + step]
+        if k < 8:
+            o[:] = c[0]
+            for j in range(1, k):
+                o += c[j]
+            continue
+        stop = k - k % 8
+        r = list(c[:8]) if stop == 8 else [c[j] + c[j + 8] for j in range(8)]
+        for i in range(16, stop, 8):
+            for j in range(8):
+                r[j] += c[i + j]
+        np.add(r[0] + r[1], r[2] + r[3], out=o)
+        o += (r[4] + r[5]) + (r[6] + r[7])
+        for j in range(stop, k):
+            o += c[j]
+    return out
 
 
 def _dirichlet(alphas: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -373,7 +415,9 @@ def _dirichlet(alphas: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
     At small concentrations gamma variates underflow to 0, which puts a row
     on the simplex boundary or, when every coordinate underflows, makes it
     0/0 = NaN.  A row is redrawn unless every coordinate is > 0.  Draws with
-    no such row are exactly those of one ``rng.gamma`` call.
+    no such row are exactly those of one ``rng.gamma`` call, and every row
+    is its gammas over their ``g.sum(axis=1)``, bit for bit: ``_row_sums``
+    adds the columns in NumPy's order.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     k = alphas.shape[-1]
@@ -383,10 +427,11 @@ def _dirichlet(alphas: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
         alphas = alphas[0]
     budget = _REDRAW_BUDGET * size
     with np.errstate(invalid="ignore"):
-        g = rng.gamma(alphas, size=(size, k))
-        x = g / g.sum(axis=1, keepdims=True)
-        bad = ~(x > 0.0).all(axis=1)
-        while bad.any():
+        x = rng.gamma(alphas, size=(size, k))
+        x /= _row_sums(x)[:, None]
+        # The minimum of a draw with a 0/0 row is NaN, which is not > 0 either.
+        while x.size and not x.min() > 0.0:
+            bad = ~(x > 0.0).all(axis=1)
             n_bad = int(bad.sum())
             budget -= n_bad
             if budget < 0:
@@ -395,6 +440,5 @@ def _dirichlet(alphas: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
                     f"points in float64: {_REDRAW_BUDGET * size} redrawn rows did not suffice"
                 )
             g = rng.gamma(alphas if alphas.ndim < 2 else alphas[bad], size=(n_bad, k))
-            x[bad] = g / g.sum(axis=1, keepdims=True)
-            bad = ~(x > 0.0).all(axis=1)
+            x[bad] = g / _row_sums(g)[:, None]
     return x

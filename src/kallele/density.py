@@ -39,6 +39,7 @@ from .core import (
     SelectionModel,
     SimplexPoint,
     _dirichlet,
+    _row_sums,
     derive_rng,
     quadratic_form,
 )
@@ -215,15 +216,19 @@ def _logsumexp_rows(parts: np.ndarray) -> np.ndarray:
     count divided out, so for finite input the result has scipy's bits,
     without its array-API dispatch and its direct exp-sum fallback for
     infinite results.  The largest entries are zeroed after exp, not set
-    to -inf before it: exp(-inf) takes NumPy's slow path.
+    to -inf before it: exp(-inf) takes NumPy's slow path.  Where no column
+    has two largest entries, every count is 1, and dividing by it and
+    adding its log change no bit, so both steps are skipped.
     """
     top = parts.max(axis=0)
     tied = parts == top
-    ties = tied.sum(axis=0, dtype=np.float64)
     rest = np.subtract(parts, top)
     np.exp(rest, out=rest)
     rest *= ~tied
     s = rest.sum(axis=0)
+    if np.count_nonzero(tied) == tied.shape[1]:
+        return np.log1p(s) + top
+    ties = tied.sum(axis=0, dtype=np.float64)
     s = np.where(s == 0, s, s / ties)
     return np.log1p(s) + np.log(ties) + top
 
@@ -240,6 +245,13 @@ def build_mixture_pool(
     Draws are split evenly over the concentrations and weighted against the
     full mixture proposal density, so a single pool stays usable across the
     whole intensity range its components jointly cover.
+
+    Each component's draws give h by ``np.einsum`` along their rows and s
+    by ``core._row_sums`` of their logs, which adds columns in the order of
+    NumPy's row sum; both go straight into the pool's arrays.  A
+    component's draws are copied into one (n, k) array when the pool keeps
+    them (``keep_draws``) or a general per-allele target needs them for its
+    base log-weights, and are freed before the next component is drawn.
     """
     if len(concentrations) < 1:
         raise ValueError("need at least one concentration")
@@ -249,20 +261,23 @@ def build_mixture_pool(
     k = theta.k
     m = len(concentrations)
     counts = [n // m + (1 if i < n % m else 0) for i in range(m)]
-    hs, ss, blocks = [], [], []
+    h = np.empty(n)
+    s = np.empty(n)
+    # The general-target base weights read the draws even when the pool keeps none.
+    draws = np.empty((n, k)) if keep_draws or theta.mode != "symmetric" else None
+    pos = 0
     for ci, (a, count) in enumerate(zip(concentrations, counts)):
         if a <= 0:
             raise ValueError("proposal concentrations must be positive")
         if count == 0:
             continue
         x = _draw_component(a, count, k, seed, ci)
-        hs.append(np.einsum("ij,ij->i", x, x))
-        ss.append(np.log(x).sum(axis=1))
-        blocks.append(x)
-    h = np.concatenate(hs)
-    s = np.concatenate(ss)
-    # The general-target base weights read the draws even when the pool keeps none.
-    draws = np.concatenate(blocks) if keep_draws or theta.mode != "symmetric" else None
+        np.einsum("ij,ij->i", x, x, out=h[pos : pos + count])
+        s[pos : pos + count] = _row_sums(np.log(x))
+        if draws is not None:
+            draws[pos : pos + count] = x
+        pos += count
+        del x  # freed before the next component is drawn
 
     # Components left without draws (n below their number) have mixture weight 0.
     drawn = [(a, count) for a, count in zip(concentrations, counts) if count]
@@ -388,9 +403,23 @@ def _fraction_below(w_below: float, w_above: float) -> float:
     return 1.0 / (1.0 + w_above / w_below) if w_below > 0.0 else 0.0
 
 
-def _cdf_logit(pool: WeightedPool, sigma: float, cdf_at: float) -> tuple[float, float, float]:
+def _cdf_masks(pool: WeightedPool, cdf_at: float) -> tuple[np.ndarray, np.ndarray]:
+    """Float masks of the draws with h <= cdf_at and h > cdf_at, for ``_cdf_logit``.
+
+    A dot product with them is the one with the boolean masks, which NumPy
+    casts to these same 0.0 and 1.0 floats before it calls BLAS.
+    """
+    below = (pool.h <= cdf_at).astype(np.float64)
+    return below, 1.0 - below
+
+
+def _cdf_logit(
+    pool: WeightedPool, sigma: float, masks: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float, float]:
     """One CDF pass with its slope: F = P(H <= cdf_at), logit F and d(logit F)/d(sigma).
 
+    ``masks`` are ``_cdf_masks(pool, cdf_at)``, which a caller making many
+    passes at one h builds once.
     ``cdf_homozygosity`` returns this F, and logit F is -log of the same
     ratio W_above/W_below, so both are exactly monotone in sigma.
     The slope E_w[h | h > cdf_at] - E_w[h | h <= cdf_at] is never negative;
@@ -401,9 +430,8 @@ def _cdf_logit(pool: WeightedPool, sigma: float, cdf_at: float) -> tuple[float, 
     Where either side carries no weight, logit F is infinite and the slope
     NaN.
     """
+    below, above = masks
     w = _weights(pool.b, pool.h, sigma)[0]
-    below = pool.h <= cdf_at
-    above = ~below
     w_below, w_above = float(w @ below), float(w @ above)
     f = _fraction_below(w_below, w_above)
     if w_below == 0.0 or w_above == 0.0:
@@ -555,7 +583,7 @@ def cdf_homozygosity(pool: WeightedPool, sigma: float, h: Homozygosity) -> float
     This is the F of the CDF pass, ``_cdf_logit``.
     """
     _check_k(h, pool)
-    return _cdf_logit(pool, sigma, h.value)[0]
+    return _cdf_logit(pool, sigma, _cdf_masks(pool, h.value))[0]
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q) -> np.ndarray:

@@ -41,6 +41,7 @@ from .density import (
     WeightedPool,
     Tilt,
     _cdf_logit,
+    _cdf_masks,
     _check_k,
     _log_z_tangent,
     _surface,
@@ -724,7 +725,7 @@ def monotone_ci(
     _check_alphas(alpha1, alpha2)
     _check_k(h, pool)
     s_lo, s_hi = config.sigma_range
-    at = functools.partial(_cdf_logit, pool, cdf_at=float(h.value))
+    at = functools.partial(_cdf_logit, pool, masks=_cdf_masks(pool, float(h.value)))
     end_lo, end_hi = at(s_lo), at(s_hi)
     f_lo, f_hi = end_lo[0], end_hi[0]
     notes: list[str] = []

@@ -94,6 +94,7 @@ class SamplerReport:
     n_requested: int
     n_proposals: int
     acceptance_rate: float
+    n_distinct: int
     seed: int
     flags: tuple[str, ...] = ()
     proposal_concentration: float | None = None
@@ -193,6 +194,7 @@ def _rejection_arrays(theta: MutationParams, sigma: float, n: int, seed: int) ->
         n_requested=n,
         n_proposals=n_prop,
         acceptance_rate=n_acc / n_prop,
+        n_distinct=n,
         seed=int(seed),
         proposal_concentration=boost,
         proposal_kind=kind,
@@ -347,11 +349,16 @@ def _mh_arrays(
     flags: tuple[str, ...] = ()
     if rate < MH_FLAG_ACCEPTANCE:
         flags = ("low-acceptance",)
+    draws = np.asarray(kept)
+    # A chain never returns to a state it has left (its proposals are
+    # continuous), so a kept row is new exactly where it differs from the last.
+    n_distinct = 1 + int(np.count_nonzero((draws[1:] != draws[:-1]).any(axis=1)))
     report = SamplerReport(
         method="independence-mh",
         n_requested=n,
         n_proposals=total_steps,
         acceptance_rate=rate,
+        n_distinct=n_distinct,
         seed=int(seed),
         flags=flags,
         proposal_concentration=a_prop,
@@ -359,7 +366,7 @@ def _mh_arrays(
         thin=thin,
         burn_in=MH_BURN_IN,
     )
-    return np.asarray(kept), report
+    return draws, report
 
 
 def _selection_arrays(
@@ -396,9 +403,11 @@ def sample_selection(
     """Draw populations from the selected stationary law.
 
     Returns the draws and a report recording the method used, proposal
-    counts and the acceptance rate.  Independence-MH output is thinned to n
+    counts, the acceptance rate and ``n_distinct``, the number of distinct
+    populations among the draws.  Independence-MH output is thinned to n
     retained draws after burn-in; a low acceptance rate is flagged, never
-    hidden.
+    hidden, and a chain that stuck keeps fewer than n distinct populations.
+    Rejection draws are independent, so ``n_distinct`` is n there.
     """
     draws, report = _selection_arrays(theta, sigma, n, seed, config)
     return [SimplexPoint(row) for row in draws], report

@@ -87,6 +87,30 @@ class TestSimulate:
         assert built == []
 
     @pytest.mark.parametrize("sigma", ROUTE_SIGMAS)
+    def test_records_its_distinct_rows(self, tmp_path, sigma):
+        out = tmp_path / "d.jsonl"
+        code = run_cli("simulate", "--k", "4", "--theta", "4.8", f"--sigma={sigma}", "--n", "500",
+                       "--seed", "3", "--out", str(out))
+        assert code == 0
+        rows = {tuple(json.loads(line)["frequencies"]) for line in out.read_text().splitlines()}
+        sampler = json.loads((tmp_path / "d.jsonl.run.json").read_text())["outputs"]["sampler"]
+        assert sampler["n_distinct"] == len(rows)
+        if sampler["method"] != "independence-mh":
+            assert len(rows) == 500
+
+    def test_stuck_chain_reports_few_distinct_rows(self, tmp_path):
+        # The vertex-mixture chain accepts about 0.3% here and keeps every
+        # 100th state, so many kept rows repeat the one before.
+        out = tmp_path / "stuck.jsonl"
+        code = run_cli("simulate", "--k", "4", "--theta", "4.8", "--sigma=-1e4", "--n", "2000",
+                       "--seed", "1", "--out", str(out))
+        assert code == 0
+        rows = {tuple(json.loads(line)["frequencies"]) for line in out.read_text().splitlines()}
+        sampler = json.loads((tmp_path / "stuck.jsonl.run.json").read_text())["outputs"]["sampler"]
+        assert sampler["flags"] == ["low-acceptance"]
+        assert sampler["n_distinct"] == len(rows) < 2000
+
+    @pytest.mark.parametrize("sigma", ROUTE_SIGMAS)
     def test_file_equals_public_sampler_output(self, tmp_path, sigma):
         # At sigma = 200, n = 12 000 takes about 72k MH steps, so the chain's
         # state is carried across the 2^16-proposal block.

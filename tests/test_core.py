@@ -15,7 +15,7 @@ from kallele import (
     parse_frequencies,
     quadratic_form,
 )
-from kallele.core import _dirichlet, derive_rng, load_dataset
+from kallele.core import _dirichlet, _row_sums, derive_rng, load_dataset
 
 
 def simplex_points(min_k=2, max_k=8):
@@ -246,7 +246,53 @@ class TestDirichlet:
         # A row of equal concentrations is drawn with a scalar shape: same stream.
         g = derive_rng(5, 1).gamma(np.full(3, 0.7), size=(500, 3))
         assert np.array_equal(_dirichlet(np.full(3, 0.7), 500, derive_rng(5, 1)), g / g.sum(axis=1, keepdims=True))
+        # NumPy sums rows of 8 and more in eight running sums; the drawer's
+        # column sums follow it at every length.
+        for k in (4, 8, 10, 20):
+            al = np.linspace(0.3, 3.0, k)
+            g = derive_rng(5, k).gamma(al, size=(3000, k))
+            assert np.array_equal(_dirichlet(al, 3000, derive_rng(5, k)), g / g.sum(axis=1, keepdims=True))
+
+    @staticmethod
+    def _rowwise(alphas, size, rng):
+        """The drawer by NumPy's reductions along rows: a sum and an ``all``."""
+        k = alphas.shape[-1]
+        if alphas.ndim == 1 and (alphas == alphas[0]).all():
+            alphas = alphas[0]
+        with np.errstate(invalid="ignore"):
+            g = rng.gamma(alphas, size=(size, k))
+            x = g / g.sum(axis=1, keepdims=True)
+            bad = ~(x > 0.0).all(axis=1)
+            while bad.any():
+                g = rng.gamma(alphas if np.ndim(alphas) < 2 else alphas[bad], size=(int(bad.sum()), k))
+                x[bad] = g / g.sum(axis=1, keepdims=True)
+                bad = ~(x > 0.0).all(axis=1)
+        return x
+
+    @pytest.mark.parametrize("k", [3, 4, 8, 10, 20])
+    def test_redrawn_rows_match_a_rowwise_drawer(self, k):
+        # At a = 0.01 some gamma variates underflow to 0, at every k here, and
+        # their rows are redrawn.
+        a = np.full(k, 0.01)
+        x = _dirichlet(a, 4000, derive_rng(6, k))
+        with np.errstate(invalid="ignore"):
+            g = derive_rng(6, k).gamma(0.01, size=(4000, k))
+            assert not (g / g.sum(axis=1, keepdims=True) > 0.0).all()
+        assert np.array_equal(x, self._rowwise(a, 4000, derive_rng(6, k)))
+        al = np.full((4000, k), 0.01)
+        al[np.arange(4000), np.arange(4000) % k] += 1.5
+        assert np.array_equal(_dirichlet(al, 4000, derive_rng(7, k)), self._rowwise(al, 4000, derive_rng(7, k)))
 
     def test_too_small_concentration_is_value_error(self):
         with pytest.raises(ValueError, match="concentration 0.0005"):
             _dirichlet(np.full(20, 0.0005), 100, derive_rng(1, 1))
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 31, 128, 129, 300])
+    def test_numpy_row_sum_bits(self, k):
+        # Rows span many orders of magnitude, so any other order of the
+        # additions would show in the last bits; 70 000 rows cross a block.
+        g = derive_rng(8, k).gamma(0.05, size=(70_000, k))
+        for a in (g, np.log(g + 1e-300)):
+            assert np.array_equal(_row_sums(a), a.sum(axis=1))

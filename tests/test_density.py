@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kallele import (
 from kallele.density import (
     DEFAULT_ESS_FLOOR,
     _cdf_logit,
+    _cdf_masks,
     _log_z_tangent,
     _logsumexp_rows,
     _pass,
@@ -127,6 +129,30 @@ class TestBuildPool:
         for arr in (parts, tied):
             assert np.array_equal(_logsumexp_rows(arr), logsumexp(arr, axis=0))
         assert np.array_equal(_logsumexp_rows(parts), pool.proposal_log_density)
+
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_statistics_are_numpy_row_reductions_of_the_draws(self, k):
+        pool = build_mixture_pool(MutationParams.symmetric(0.6 * k, k), (0.6, 0.4, 8.0), n=40_000, seed=3)
+        d = pool.draws
+        assert np.array_equal(pool.h, np.einsum("ij,ij->i", d, d))
+        assert np.array_equal(pool.s, np.log(d).sum(axis=1))
+
+    def test_draws_are_held_at_most_once_while_building(self):
+        n, k = 200_000, 8
+        draw_size = n * k * 8
+        peaks = {}
+        for keep in (False, True):
+            tracemalloc.start()
+            try:
+                build_mixture_pool(MutationParams.symmetric(6.2, k), (0.775, 2.0, 8.0, 0.4), n=n, seed=1, keep_draws=keep)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # A pool without draws holds one component's at a time; a pool with
+        # them adds one (n, k) array, not a second copy for concatenating.
+        assert peaks[False] < 2 * draw_size
+        assert peaks[True] < peaks[False] + 1.5 * draw_size
 
 
 class TestComponentMemo:
@@ -284,7 +310,7 @@ class TestTilt:
             assert np.all(np.diff([tilt(pool, s).g for s in grid]) <= 0.0)
             fs = [cdf_homozygosity(pool, s, hv) for s in grid]
             assert np.all(np.diff(fs) >= 0.0)
-            assert fs == [_cdf_logit(pool, s, hv.value)[0] for s in grid]
+            assert fs == [_cdf_logit(pool, s, _cdf_masks(pool, hv.value))[0] for s in grid]
 
     @pytest.mark.parametrize("sigma", [-1e4, -100.0, 0.0, 35.1, 1600.0, 1e4])
     def test_lean_passes_equal_full_pass(self, pool_k4, mixture_pool_k4, sigma):
@@ -459,6 +485,17 @@ class TestCdfHomozygosity:
     def test_homozygosity_of_another_k_raises(self, pool_k4):
         with pytest.raises(ValueError, match="k=5"):
             cdf_homozygosity(pool_k4, 13.0, Homozygosity(0.22, 5))
+
+    def test_float_masks_reduce_like_boolean_masks(self, mixture_pool_k4):
+        # no tolerance: the CDF pass's weight sums keep the bits of boolean masks
+        pool = mixture_pool_k4
+        for hv in (0.2, 0.26, 0.288, 0.45):
+            below, above = _cdf_masks(pool, hv)
+            le = pool.h <= hv
+            for sigma in (-60.0, 0.0, 35.1, 400.0):
+                w = _weights(pool.b, pool.h, sigma)[0]
+                assert float(w @ below) == float(w @ le)
+                assert float(w @ above) == float(w @ ~le)
 
     def test_nondecreasing_in_sigma(self, mixture_pool_k4):
         h = Homozygosity(0.288, 4)

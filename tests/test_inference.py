@@ -429,8 +429,8 @@ class TestMonotoneCi:
         seen = []
         cdf_logit = inference._cdf_logit
 
-        def recording(pool, sigma, cdf_at):
-            out = cdf_logit(pool, sigma, cdf_at)
+        def recording(pool, sigma, masks):
+            out = cdf_logit(pool, sigma, masks)
             seen.append((sigma, out[0]))
             return out
 

@@ -10,7 +10,9 @@ Each line is ``<sha256>  <output>``.  Floats are hashed through their
 exact bits (``repr`` in records, raw bytes in arrays), so any change in any
 output, down to the last bit, changes its line.  Outputs: ``simulate``
 JSON lines on the four sampler routes and ``sample_selection`` under a
-general matrix (the MH route with the neutral proposal), the files that
+general matrix (the MH route with the neutral proposal), with their reports
+less ``n_distinct`` (so that the lines compare with versions that lack the
+field), the files that
 ``kallele simulate`` writes on the four routes at n = 20 000, for a
 stuck vertex-mixture chain (sigma = -1e4, thinned by 100) and for
 rejection at sigma < 0 on both envelopes (the neutral one at sigma = -1,
@@ -18,7 +20,10 @@ k = 4, and the vertex mixture at sigma = -10, k = 10), ``bootstrap``
 records at three generators and the first again with 1100 replicates, cold
 ``mle_sigma`` solves and warm ones through one ``GSigmaTable`` on a fresh
 mixture pool from beyond one cap to beyond the other and at both unbounded
-fringes, the CSVs of a
+fringes, ``core._dirichlet`` itself at k = 3, 4, 8, 10 and 20 (NumPy sums
+rows of 8 and more in eight running sums) for a symmetric concentration
+low enough that rows are redrawn, two more, and per-row concentrations,
+pools built without their draws at k = 8, 10 and 20, the CSVs of a
 ``sampling_dist``, a ``bootstrap_hist``, an ``mle_curve``, a
 ``cdf_panel`` and the README's ``instability_prob`` study, single-component pools' base log-weights and proposal
 log-densities, the log-normalizer and the log-likelihood under an
@@ -49,6 +54,7 @@ import numpy as np
 
 from kallele import Homozygosity, MutationParams, SelectionModel, homozygosity, parse_frequencies
 from kallele import cli, density, inference
+from kallele.core import _dirichlet, derive_rng
 from kallele.density import (
     build_mixture_pool,
     build_pool,
@@ -101,6 +107,12 @@ def _built_pools():
             module.build_mixture_pool = original
 
 
+def _report(report) -> str:
+    """The report's fields as text, ``n_distinct`` left out."""
+    fields = {name: value for name, value in vars(report).items() if name != "n_distinct"}
+    return repr(fields)
+
+
 def _show_pools(label: str, pools) -> None:
     for i, pool in enumerate(pools):
         _show(f"{label} pool {i}", pool.h, pool.s, pool.b, pool.proposal_log_density, list(pool.concentrations))
@@ -135,13 +147,13 @@ def simulate(tmp: str) -> None:
         path = os.path.join(tmp, f"{label}.jsonl")
         write_samples_jsonl(points, path)
         with open(path, "rb") as fh:
-            _show(f"simulate {label}", fh.read(), None if report is None else repr(report))
+            _show(f"simulate {label}", fh.read(), None if report is None else _report(report))
     matrix = 35.1 * np.eye(4) + 2.0 * (np.ones((4, 4)) - np.eye(4))
     points, report = sample_selection(theta, SelectionModel.from_matrix(matrix), 2000, 17)
     path = os.path.join(tmp, "mh-neutral.jsonl")
     write_samples_jsonl(points, path)
     with open(path, "rb") as fh:
-        _show("sample_selection from_matrix", fh.read(), repr(report))
+        _show("sample_selection from_matrix", fh.read(), _report(report))
     # `kallele simulate` itself at the benchmark's size, where the MH chains
     # cross a 2^16-proposal block, and a chain stuck near one vertex.
     for label, argv in (
@@ -192,6 +204,17 @@ def mle_sigma() -> None:
         _show(f"mle_sigma {label}", repr(cold), repr(warm))
 
 
+def drawer() -> None:
+    # At a = 0.01 some gamma variates underflow to 0 and their rows are
+    # redrawn; per-row concentrations draw each row from its own shapes.
+    for k in (3, 4, 8, 10, 20):
+        for a in (0.01, 0.7, 8.0):
+            _show(f"_dirichlet k={k} a={a}", _dirichlet(np.full(k, a), 20_000, derive_rng(47, k)))
+        rows = np.full((20_000, k), 0.01)
+        rows[np.arange(20_000), np.arange(20_000) % k] += 1.5
+        _show(f"_dirichlet k={k} per-row", _dirichlet(rows, 20_000, derive_rng(48, k)))
+
+
 def pools() -> None:
     # Single-component pools: at a = theta/k (base log-weights exactly 0),
     # at another a, and for a general per-allele target with its draws
@@ -204,6 +227,11 @@ def pools() -> None:
         if keep:
             parts += [pool.reweighted(MutationParams.symmetric(6.0, 4)).b, pool.reweighted(general).b]
         _show(f"build_pool {label}", *parts)
+    # Mixture pools without their draws at larger k, over the exact CI's
+    # range; at theta = 0.03, k = 8 the drawer redraws rows.
+    for k, theta in ((8, 6.24), (8, 0.03), (10, 5.0), (20, 3.0)):
+        pool = pool_for_sigma_range(MutationParams.symmetric(theta, k), 100_000, 53, sigma_lo=-500.0, sigma_hi=2000.0)
+        _show(f"pool_for_sigma_range k={k} theta={theta}", pool.h, pool.s, pool.b, pool.proposal_log_density)
 
 
 def study(tmp: str) -> None:
@@ -298,6 +326,7 @@ def main() -> int:
         simulate(tmp)
     bootstrap()
     mle_sigma()
+    drawer()
     pools()
     with tempfile.TemporaryDirectory() as tmp:
         study(tmp)
