@@ -442,3 +442,76 @@ def _dirichlet(alphas: np.ndarray, size: int, rng: np.random.Generator) -> np.nd
             g = rng.gamma(alphas if alphas.ndim < 2 else alphas[bad], size=(n_bad, k))
             x[bad] = g / _row_sums(g)[:, None]
     return x
+
+
+# Coefficients of Cephes ``lgam`` (Moshier 1989): A is the Stirling series
+# in 1/x^2, B/C the rational approximation on [2, 3) (C with a leading 1).
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+    -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+    -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6,
+)
+_LGAM_MAX = 2.556348e305
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _polevl(x: float, coef: tuple[float, ...], ans: float) -> float:
+    """Horner's rule over ``coef``, from a leading value ``ans``."""
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam(x: float) -> float:
+    if x <= 0.0:
+        raise ValueError(f"log-gamma is defined here for x > 0, got {x!r}")
+    if math.isnan(x) or x == math.inf:
+        return x
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B[1:], _LGAM_B[0]) / _polevl(x, _LGAM_C[1:], x + _LGAM_C[0])
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A[1:], _LGAM_A[0]) / x
+
+
+def _gammaln(x):
+    """log Gamma(x) for x > 0, elementwise, with the bits of ``scipy.special.gammaln``.
+
+    Takes Cephes ``lgam``'s steps (Moshier 1989), which SciPy runs: below
+    13, shift the argument into [2, 3) and apply a rational approximation;
+    from 13 on, Stirling's formula with a series in 1/x^2 below 1e8.  NaN
+    and +inf return themselves, x > 2.556348e305 returns +inf, and x <= 0
+    raises ``ValueError``.  Logs come from ``math.log`` (the C library's,
+    as in Cephes): NumPy's vectorized log can differ in the last bit.  A
+    scalar gives a float; an array gives an ndarray of its shape, so
+    ``_gammaln(a).sum()`` adds in NumPy's pairwise order.
+    """
+    if np.ndim(x) == 0:
+        return _lgam(float(x))
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([_lgam(v) for v in x.ravel().tolist()]).reshape(x.shape)

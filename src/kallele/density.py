@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     Homozygosity,
@@ -39,6 +38,7 @@ from .core import (
     SelectionModel,
     SimplexPoint,
     _dirichlet,
+    _gammaln,
     _row_sums,
     derive_rng,
     quadratic_form,
@@ -172,7 +172,7 @@ class WeightedPool:
 
 
 def _dirichlet_logconst(alphas: np.ndarray) -> float:
-    return float(gammaln(alphas.sum()) - gammaln(alphas).sum())
+    return float(_gammaln(alphas.sum()) - _gammaln(alphas).sum())
 
 
 def _base_log_weights(theta: MutationParams, s: np.ndarray, draws: np.ndarray | None, pld: np.ndarray) -> np.ndarray:
@@ -185,7 +185,7 @@ def _base_log_weights(theta: MutationParams, s: np.ndarray, draws: np.ndarray | 
         a = theta.total / theta.k
         # A Python float: a NumPy-scalar constant makes the array
         # arithmetic below markedly slower.
-        const = float(gammaln(theta.total) - theta.k * gammaln(a))
+        const = float(_gammaln(theta.total) - theta.k * _gammaln(a))
         return const + (a - 1.0) * s - pld
     alphas = theta.alphas()
     return _dirichlet_logconst(alphas) + np.log(draws) @ (alphas - 1.0) - pld
@@ -212,7 +212,9 @@ def _draw_component(a: float, count: int, k: int, seed: int, component: int) -> 
 def _logsumexp_rows(parts: np.ndarray) -> np.ndarray:
     """log(sum(exp(parts), axis=0)) by scipy.special.logsumexp's steps, in its order.
 
-    The largest entries of each column are taken out of the sum and their
+    This is the package's one log-sum-exp (SciPy is only its test oracle);
+    a single vector ``v`` goes in as the column ``v[:, None]``.  The
+    largest entries of each column are taken out of the sum and their
     count divided out, so for finite input the result has scipy's bits,
     without its array-API dispatch and its direct exp-sum fallback for
     infinite results.  The largest entries are zeroed after exp, not set

@@ -90,6 +90,11 @@ THETA_BOUNDS = (0.1, 50.0)
 # joint_refit bootstrap.
 JOINT_REFIT_POOL_N = 20_000
 
+# Fewest replicates a bootstrap runs, and fewest post-burn-in draws a
+# posterior chain keeps, for a percentile interval to mean anything.
+MIN_REPLICATES = 100
+MIN_RETAINED = 1000
+
 # A bootstrap with more unbounded replicates than this fraction has a heavy
 # tail: its standard error is reported as undefined.
 HEAVY_TAIL_FRACTION = 0.2
@@ -590,13 +595,13 @@ def _check_level(level: float) -> None:
 
 def _check_retained(retained: int) -> None:
     """A chain keeping ``retained`` draws after burn-in can be summarized."""
-    if retained < 1000:
-        raise ValueError(f"need at least 1000 retained draws to summarize, got {retained}")
+    if retained < MIN_RETAINED:
+        raise ValueError(f"need at least {MIN_RETAINED} retained draws to summarize, got {retained}")
 
 
 def _check_replicates(m: int) -> None:
-    if m < 100:
-        raise ValueError("bootstrap needs m >= 100 replicates")
+    if m < MIN_REPLICATES:
+        raise ValueError(f"bootstrap needs m >= {MIN_REPLICATES} replicates")
 
 
 def _check_alphas(alpha1: float, alpha2: float) -> None:

@@ -44,9 +44,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .core import INTERNAL_SUM_TOL, MutationParams, SelectionModel, SimplexPoint, _dirichlet, derive_rng
+from .core import INTERNAL_SUM_TOL, MutationParams, SelectionModel, SimplexPoint, _dirichlet, _gammaln, derive_rng
 from .density import _logsumexp_rows, g_sigma, pool_for_sigma_range
 
 __all__ = [
@@ -121,7 +120,7 @@ def _vertex_rows(alphas: np.ndarray, boost: float) -> tuple[np.ndarray, np.ndarr
     log of its density over Dir(alphas) at x is boost log x_j + consts[j],
     with consts[j] = log Gamma(alpha_j) - log Gamma(alpha_j + boost).
     """
-    return boost * np.eye(alphas.size), gammaln(alphas) - gammaln(alphas + boost)
+    return boost * np.eye(alphas.size), _gammaln(alphas) - _gammaln(alphas + boost)
 
 
 def _rejection_envelope(alphas: np.ndarray, sigma: float) -> tuple[Callable, Callable, str | None, float | None]:
@@ -138,8 +137,8 @@ def _rejection_envelope(alphas: np.ndarray, sigma: float) -> tuple[Callable, Cal
         boost = -sigma * (1.0 - 1.0 / k) / math.log(k)
         deltas, consts = _vertex_rows(alphas, boost)
         t = float(alphas.sum())
-        log_total = logsumexp(-consts)
-        if gammaln(t + boost) - gammaln(t) - log_total > 0.0:  # log F > 0
+        log_total = _logsumexp_rows((-consts)[:, None])[0]
+        if _gammaln(t + boost) - _gammaln(t) - log_total > 0.0:  # log F > 0
             rows = alphas + deltas
             weights = np.exp(-consts - log_total)
 

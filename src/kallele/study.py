@@ -26,12 +26,13 @@ from .density import (
 )
 from .inference import (
     DEFAULT_PRIOR_BOUNDS,
+    MIN_REPLICATES,
+    MIN_RETAINED,
     SIGMA_CAP,
     BootstrapConfig,
     BootstrapResult,
     GSigmaTable,
     PosteriorConfig,
-    _check_retained,
     bootstrap,
     mle_sigma,
     posterior_sample,
@@ -58,6 +59,17 @@ STUDY_KINDS = (
     "posterior_hist",
     "instability_prob",
 )
+
+
+# The parameters each study kind reads; a spec that gives any other is rejected.
+_PARAMETERS = {
+    "mle_curve": ("k", "theta", "h_grid", "grid_points", "pool_n"),
+    "sampling_dist": ("k", "theta", "sigma", "n_datasets", "pool_n"),
+    "bootstrap_hist": ("k", "theta", "sigma", "m", "level", "pool_n"),
+    "cdf_panel": ("k", "theta", "h", "sigma_values", "bins", "pool_n"),
+    "posterior_hist": ("data", "chain_length", "fix_theta", "prior_theta", "prior_sigma", "level", "pool_n"),
+    "instability_prob": ("k", "theta", "sigma_grid", "epsilon", "n_per_sigma"),
+}
 
 
 class StudySchemaError(ValueError):
@@ -262,8 +274,14 @@ def _number_list(params: dict, name: str, kind: str, length: int | None = None) 
 
 def run_study(spec: StudySpec) -> dict:
     """Execute a study spec: compute tables, write CSVs and the JSON sidecar."""
-    os.makedirs(spec.out, exist_ok=True)
     p = spec.parameters
+    unknown = sorted(set(p) - set(_PARAMETERS[spec.kind]))
+    if unknown:
+        raise StudySchemaError(
+            f"{spec.kind} study spec has unknown parameters {unknown}; it reads {list(_PARAMETERS[spec.kind])}",
+            unknown,
+        )
+    os.makedirs(spec.out, exist_ok=True)
     outputs: dict[str, str] = {}
 
     def num(name: str, default: float | None = None) -> float:
@@ -278,6 +296,10 @@ def run_study(spec: StudySpec) -> dict:
         theta = float(num("theta"))
         grid = p.get("h_grid")
         if grid is not None:
+            if "grid_points" in p:
+                raise StudySchemaError(
+                    "mle_curve: grid_points sizes the default grid; give it or h_grid, not both", ["grid_points"]
+                )
             grid = _number_list(p, "h_grid", spec.kind)
         else:
             start = 1.0 / k + 0.002
@@ -307,7 +329,7 @@ def run_study(spec: StudySpec) -> dict:
             float(num("theta")),
             float(num("sigma")),
             integer("k"),
-            integer("n_datasets", 1000),
+            integer("n_datasets", 1000, minimum=MIN_REPLICATES),
             spec.seed,
             BootstrapConfig(pool_n=integer("pool_n", 100_000)),
         )
@@ -317,7 +339,8 @@ def run_study(spec: StudySpec) -> dict:
         _require(p, ["k", "theta", "sigma", "m"], spec.kind)
         cfg = BootstrapConfig(level=float(num("level", 0.95)), pool_n=integer("pool_n", 100_000))
         result = bootstrap(
-            float(num("theta")), float(num("sigma")), integer("k"), integer("m"), spec.seed, cfg
+            float(num("theta")), float(num("sigma")), integer("k"), integer("m", minimum=MIN_REPLICATES),
+            spec.seed, cfg,
         )
         outputs["table"] = _write_replicates(spec.out, "bootstrap_hist.csv", result)
         summary_path = os.path.join(spec.out, "bootstrap_summary.json")
@@ -362,7 +385,12 @@ def run_study(spec: StudySpec) -> dict:
         )
         chain_length = integer("chain_length")
         # Before the pool and the chain, which would only be thrown away.
-        _check_retained(chain_length - cfg.burn_in)
+        if chain_length - cfg.burn_in < MIN_RETAINED:
+            raise StudySchemaError(
+                f"posterior_hist: chain_length must exceed the burn-in of {cfg.burn_in} by at least "
+                f"{MIN_RETAINED} retained draws, got {chain_length}",
+                ["chain_length"],
+            )
         # A side the spec leaves out takes its default; a given side is kept as passed.
         bounds = []
         for name, default in zip(("prior_theta", "prior_sigma"), DEFAULT_PRIOR_BOUNDS):

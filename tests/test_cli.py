@@ -1,6 +1,9 @@
 import json
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -401,6 +404,11 @@ class TestStudyCommand:
              {"data": "lyme", "chain_length": 3000, "prior_theta": 5, "prior_sigma": [0, 100]}),
             ("mle_curve", "k", {"k": 4.5, "theta": 4.8, "h_grid": [0.3]}),
             ("cdf_panel", "bins", {"k": 4, "theta": 4.8, "h": 0.3, "sigma_values": [0.0], "bins": 0}),
+            # Keys the kind does not read, and counts below what the study can summarize.
+            ("bootstrap_hist", "bins", {"k": 4, "theta": 4.8, "sigma": 1.0, "m": 100, "bins": 0}),
+            ("mle_curve", "pool_size", {"k": 4, "theta": 4.8, "pool_size": 1000}),
+            ("sampling_dist", "n_datasets", {"k": 4, "theta": 4.8, "sigma": 1.0, "n_datasets": 0}),
+            ("posterior_hist", "chain_length", {"data": "lyme", "chain_length": 100}),
         ],
     )
     def test_mistyped_scalar_is_schema_error(self, tmp_path, capsys, kind, name, params):
@@ -482,3 +490,46 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "No such file or directory" in err and str(out.parent) in err
+
+
+def _fresh_python(tmp_path, body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter that imports this kallele, with ``sys`` imported."""
+    src = str(Path(kallele.cli.__file__).resolve().parents[1])
+    script = f"import sys\nsys.path.insert(0, {src!r})\n{body}"
+    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+
+
+class TestNoScipy:
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "kind": "sampling_dist", "parameters": {"k": 4, "theta": 4.8, "sigma": -5.0, "n_datasets": 100, "pool_n": 2000},
+            "seed": 1, "out": "study",
+        }))
+        runs = [
+            ["simulate", "--k", "4", "--theta", "4.8", "--sigma", s, "--n", "50", "--seed", "1", "--out", f"sim{i}.jsonl"]
+            for i, s in enumerate(["0", "35.1", "-5", "200", "-200"])
+        ]
+        common = ["analyze", "--data", "lyme", "--pool-size", "5000", "--seed", "1"]
+        runs += [
+            common + ["--method", "mle"],
+            common + ["--method", "monotone-ci"],
+            common + ["--method", "bootstrap", "--fix-theta", "4.8", "--sigma", "35.1", "--m", "100"],
+            common + ["--method", "posterior", "--fix-theta", "4.8", "--chain-length", "2100"],
+            ["study", "spec.json"],
+        ]
+        body = (
+            "sys.modules['scipy'] = None  # any import of SciPy now fails\n"
+            "from kallele.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(codes)\n"
+        )
+        done = _fresh_python(tmp_path, body)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == str([0] * len(runs))
+        assert (tmp_path / "study" / "sampling_dist.csv").exists()
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        body = "import kallele.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        done = _fresh_python(tmp_path, body)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from kallele import (
     FrequencyParseError,
@@ -15,7 +16,8 @@ from kallele import (
     parse_frequencies,
     quadratic_form,
 )
-from kallele.core import _dirichlet, _row_sums, derive_rng, load_dataset
+from kallele.core import _dirichlet, _gammaln, _row_sums, derive_rng, load_dataset
+from kallele.inference import THETA_BOUNDS, _ladder
 
 
 def simplex_points(min_k=2, max_k=8):
@@ -296,3 +298,56 @@ class TestRowSums:
         g = derive_rng(8, k).gamma(0.05, size=(70_000, k))
         for a in (g, np.log(g + 1e-300)):
             assert np.array_equal(_row_sums(a), a.sum(axis=1))
+
+
+def _neighbours(x: float, steps: int = 3) -> list[float]:
+    """x and the ``steps`` floats on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+class TestGammaln:
+    @staticmethod
+    def _same_bits(x):
+        x = np.asarray(x, dtype=np.float64)
+        ours = _gammaln(x)
+        assert isinstance(ours, np.ndarray) and ours.shape == x.shape
+        assert np.array_equal(ours, gammaln(x), equal_nan=True)
+
+    def test_log_uniform_sample(self):
+        rng = np.random.default_rng(23)
+        self._same_bits(np.exp(rng.uniform(math.log(1e-300), math.log(1e305), 200_000)))
+
+    def test_integers_and_half_integers(self):
+        self._same_bits(np.arange(1, 4000) / 2.0)
+
+    def test_branch_edges(self):
+        # The recurrences' bounds 2 and 3, Stirling's from 13, its short
+        # series from 1000, no series above 1e8, and overflow to +inf.
+        edges = [v for e in (2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305) for v in _neighbours(e)]
+        self._same_bits(edges + [5e-324, 1e-310, 1.0, np.inf, np.nan])
+
+    def test_concentrations_the_package_passes(self):
+        values = [0.4, 2.0, 8.0]
+        for k in (2, 3, 4, 8, 10, 20):
+            values += _ladder(THETA_BOUNDS, k)
+        for theta, k in ((4.8, 4), (6.24, 8), (5.0, 10)):
+            alphas = np.full(k, theta / k)
+            for sigma in (-2.0, -5.0, -10.0, -100.0, -200.0):
+                boost = -sigma * (1.0 - 1.0 / k) / math.log(k)
+                values += [theta / k, theta / k + boost, alphas.sum(), alphas.sum() + boost]
+        self._same_bits(values)
+        assert all(_gammaln(v) == gammaln(v) for v in values)
+
+    def test_scalar_gives_a_float(self):
+        assert type(_gammaln(4.5)) is float and type(_gammaln(np.float64(4.5))) is float
+        assert _gammaln(np.array([[0.5, 3.5], [13.5, 1e9]])).shape == (2, 2)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.5, -np.inf, [1.0, 0.0]])
+    def test_nonpositive_is_value_error(self, x):
+        with pytest.raises(ValueError, match="x > 0"):
+            _gammaln(x)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 from scipy.stats import ks_2samp
 
 from kallele import (
@@ -18,7 +18,7 @@ from kallele import (
 )
 from kallele import sampler
 from kallele.core import _dirichlet, derive_rng
-from kallele.density import g_sigma, pool_for_sigma_range
+from kallele.density import _logsumexp_rows, g_sigma, pool_for_sigma_range
 from kallele.sampler import _selection_arrays, write_samples_jsonl
 
 import oracles
@@ -256,6 +256,16 @@ class TestVertexEnvelope:
             assert boost == pytest.approx(-sigma * (1.0 - 1.0 / k) / math.log(k), rel=1e-15)
         x = draw(2000, rng)
         assert np.all(log_accept(x) <= 0.0)
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_log_total_matches_scipy(self, k):
+        # The envelope's total weight log sum_j exp(-consts[j]), as
+        # _rejection_envelope takes it; equal alphas tie every entry.
+        rng = np.random.default_rng(k)
+        for alphas in (np.full(k, 5.0 / k), rng.uniform(0.05, 3.0, k)):
+            for sigma in (-0.5, -2.6, -10.0, -200.0):
+                _, consts = sampler._vertex_rows(alphas, -sigma * (1.0 - 1.0 / k) / math.log(k))
+                assert _logsumexp_rows((-consts)[:, None])[0] == logsumexp(-consts)
 
     @pytest.mark.parametrize("theta, k, sigma, h_cut", [(5.0, 10, -10.0, 0.37), (4.8, 4, -5.0, 0.41)])
     def test_mean_and_cdf_match_qmc(self, theta, k, sigma, h_cut):

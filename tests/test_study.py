@@ -227,6 +227,43 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="1000 retained draws"):
             run_study(spec)
 
+    @pytest.mark.parametrize(
+        "kind, unknown, params",
+        [
+            ("mle_curve", ["pool_size"], {"k": 4, "theta": 4.8, "pool_size": 1000}),
+            ("bootstrap_hist", ["bins"], {"k": 4, "theta": 4.8, "sigma": 1.0, "m": 100, "bins": 0}),
+            ("instability_prob", ["n_datasets", "sigma"],
+             {"k": 4, "theta": 5.0, "sigma_grid": [1.0], "epsilon": 0.2, "sigma": 1.0, "n_datasets": 5}),
+            ("posterior_hist", ["k"], {"data": "lyme", "chain_length": 3000, "k": 4}),
+        ],
+    )
+    def test_unknown_parameters_rejected_before_anything_runs(self, tmp_path, kind, unknown, params):
+        spec = StudySpec(kind=kind, parameters=params, seed=1, out=str(tmp_path / "u"))
+        with pytest.raises(StudySchemaError, match="unknown parameters") as err:
+            run_study(spec)
+        assert err.value.fields == unknown
+        assert not (tmp_path / "u").exists()
+
+    def test_grid_points_next_to_h_grid_rejected(self, tmp_path):
+        spec = StudySpec(kind="mle_curve", parameters={"k": 4, "theta": 4.8, "h_grid": [0.3], "grid_points": 5},
+                         seed=1, out=str(tmp_path))
+        with pytest.raises(StudySchemaError, match="not both") as err:
+            run_study(spec)
+        assert err.value.fields == ["grid_points"]
+
+    def test_short_chain_message_names_chain_length_and_burn_in(self, tmp_path):
+        spec = StudySpec(kind="posterior_hist", parameters={"data": "lyme", "chain_length": 100}, seed=1, out=str(tmp_path))
+        with pytest.raises(StudySchemaError, match="chain_length must exceed the burn-in of 1000") as err:
+            run_study(spec)
+        assert err.value.fields == ["chain_length"] and "-900" not in str(err.value)
+
+    @pytest.mark.parametrize("kind, name", [("sampling_dist", "n_datasets"), ("bootstrap_hist", "m")])
+    def test_too_few_replicates_names_the_field(self, tmp_path, kind, name):
+        spec = StudySpec(kind=kind, parameters={"k": 4, "theta": 4.8, "sigma": 1.0, name: 99}, seed=1, out=str(tmp_path))
+        with pytest.raises(StudySchemaError, match=f"{name} must be at least 100") as err:
+            run_study(spec)
+        assert err.value.fields == [name]
+
     def test_unsorted_grid_rejected(self, tmp_path):
         spec = StudySpec(
             kind="instability_prob",
