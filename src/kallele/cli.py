@@ -28,7 +28,7 @@ from .inference import (
     DEFAULT_PRIOR_BOUNDS,
     _check_level,
     _check_replicates,
-    _check_retained,
+    _check_chain_length,
     BootstrapConfig,
     MonotoneCiConfig,
     PosteriorConfig,
@@ -145,7 +145,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.method == "bootstrap":
         _check_replicates(args.m)
     if args.method == "posterior":
-        _check_retained(args.chain_length - PosteriorConfig().burn_in)
+        _check_chain_length(args.chain_length, PosteriorConfig().burn_in, "--chain-length")
     # The posterior's --chain-csv too, which would otherwise fail only after the chain.
     _check_writable(*(p for p in (args.out, args.chain_csv) if p))
     label, point = load_dataset(args.data)

@@ -130,8 +130,15 @@ class MleResult:
     """Point estimate with convergence/instability status.
 
     ``converged`` guarantees the score changed sign across ``bracket`` and
-    ``sigma_hat`` lies inside it.  ``unbounded_above``/``unbounded_below``
-    are the empirical image of the likelihood singularity: the observed
+    ``sigma_hat`` lies inside it.  Where the solve stopped on a certified
+    Newton point, no pass was made at ``sigma_hat``: ``ess_at_solution``
+    is the last pass's, a step D of at most sqrt(2 BRACKET_TOL / R) (a few
+    thousandths) away, and ``score_at_solution`` is the residual that pass
+    predicts there, f + f' D, with an error of at most
+    |f'| (e^x - 1 - x) / R for x = R|D| and R = h_max - h_min
+    (``_g_step_error``).  Otherwise both come from the pass at
+    ``sigma_hat``.  ``unbounded_above``/``unbounded_below`` are the
+    empirical image of the likelihood singularity: the observed
     homozygosity sits at the pool's floor/ceiling and no finite intensity
     matches it.  ``outside_pool_range`` means a root exists but beyond the
     search cap ``SIGMA_CAP``.
@@ -300,11 +307,12 @@ class GSigmaTable:
     solve without one starts from an empty table of its own.  Every pass a
     solve makes lands here: at the bracket points 0 and
     +/-BRACKET_INIT * 2^j (j >= -6), at its Newton iterates and at
-    +/-SIGMA_CAP.  ``sigmas`` holds them in ascending order, and ``at``
-    makes a pass only where none is recorded.  A solve through a table keeps
-    the status of a cold solve and its root moves by at most BRACKET_TOL,
-    but which passes are recorded depends on the order of the solves, so a
-    caller that wants reproducible numbers solves in a fixed order.
+    +/-SIGMA_CAP; a certified Newton point that ends a solve gets no pass.
+    ``sigmas`` holds them in ascending order, and ``at`` makes a pass only
+    where none is recorded.  A solve through a table keeps the status of a
+    cold solve and its root moves by at most BRACKET_TOL, but which passes
+    are recorded depends on the order of the solves, so a caller that wants
+    reproducible numbers solves in a fixed order.
     """
 
     def __init__(self, pool: WeightedPool):
@@ -320,7 +328,44 @@ class GSigmaTable:
         return t
 
 
-def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> tuple:
+def _g_step_error(spread: float, step: float) -> float:
+    """Certified distance from a Newton point on g(sigma) = h to the root.
+
+    With R = ``spread`` = h_max - h_min, g'' = E_w[(h - g)^3] and
+    |h - g| <= R give |g''| <= R |g'|, so over any u, |g'(sigma + u)| lies
+    within a factor e^{R|u|} of |g'(sigma)|, with one sign.  For the Newton
+    step D = -f/f' from sigma (f = g - h) and x = R|D|, integrating twice:
+
+        |f(sigma + D)| <= |f'(sigma)| (e^x - 1 - x) / R, and
+        |f(sigma + D)| >= |f'(sigma)| e^-x (1 - e^{-R|e|}) / R
+
+    for the root's distance e from sigma + D.  So with
+    Q = e^x (e^x - 1 - x) < 1, |e| <= -log(1 - Q) / R, about R D^2 / 2.
+    """
+    x = spread * abs(step)
+    q = math.exp(x) * (math.expm1(x) - x)
+    return -math.log1p(-q) / spread if q < 1.0 else math.inf
+
+
+def _logit_step_error(curvature: float, slope: float, step: float) -> float:
+    """Certified distance from a Newton point on logit F(sigma) = goal to the root.
+
+    ``curvature`` bounds |f''|: for logit F, f' = E_w[h | above] -
+    E_w[h | below] and f'' = Var_w(h | below) - Var_w(h | above), each
+    variance at most R^2 / 4 by Popoviciu's inequality.  From sigma, with
+    the Newton step D, |f(sigma + D)| <= curvature D^2 / 2.  While
+    m = |f'(sigma)| - 2 curvature |D| > 0, |f'| exceeds m within 2|D| of
+    sigma, so a root within |D| of sigma + D lies within
+    b = curvature D^2 / (2 m) of it.  A root farther off would leave a
+    residual of at least m |D| there, which exceeds curvature D^2 / 2
+    exactly when b < |D|; so b bounds the distance where it is below |D|.
+    """
+    m = abs(slope) - 2.0 * curvature * abs(step)
+    b = curvature * step * step / (2.0 * m) if m > 0.0 else math.inf
+    return b if b < abs(step) else math.inf
+
+
+def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float, error) -> tuple:
     """Safeguarded Newton on a non-increasing residual whose root lies in [lo, hi].
 
     ``at(sigma)`` makes one pool pass; ``residual(pass)`` reads the residual
@@ -329,8 +374,12 @@ def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> 
     so the bracket keeps a certified sign change.  A step that leaves the
     bracket, has no negative slope to follow or fails to halve the step two
     before is replaced by bisection.  Stops at a zero residual or when a
-    Newton step or the bracket is below ``tol``.  Returns the last iterate,
-    its pass and the bracket.
+    Newton step or the bracket is below ``tol``, at the last iterate; and,
+    without a pass there, at a Newton point sigma + step inside the bracket
+    that ``error(slope, step)``, the caller's bound on that point's
+    distance from the root, certifies within ``tol``.  Returns the point,
+    the last pass, the step from that pass's sigma to the point (0 at an
+    iterate) and the bracket, inside which the point lies.
     """
     last_step = older_step = math.inf
     while True:
@@ -343,7 +392,8 @@ def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> 
             break
         step = -f / df if df < 0.0 else math.inf
         nxt = sigma + step
-        if lo < nxt < hi and abs(step) <= 0.5 * older_step:
+        newton = lo < nxt < hi and abs(step) <= 0.5 * older_step
+        if newton:
             if abs(step) < tol:
                 break
         else:
@@ -351,9 +401,11 @@ def _newton(at, residual, sigma: float, t, lo: float, hi: float, tol: float) -> 
             step = nxt - sigma
         if hi - lo < tol or not lo < nxt < hi:
             break
+        if newton and error(df, step) <= tol:
+            return nxt, t, nxt - sigma, lo, hi
         older_step, last_step = last_step, abs(step)
         sigma, t = nxt, at(nxt)
-    return sigma, t, lo, hi
+    return sigma, t, 0.0, lo, hi
 
 
 def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: GSigmaTable | None = None) -> MleResult:
@@ -376,8 +428,12 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: GSigmaTable | None = N
     the bracket from an inverse Hermite interpolation of its ends, with
     bisection whenever a step leaves the bracket or fails to halve the step
     two before.  The solve stops when a Newton step or the bracket is below
-    BRACKET_TOL; the returned bracket keeps a certified sign change, and
-    the score and ESS come from the last pass.  Statuses replace
+    BRACKET_TOL, or, without a pass there, at a Newton point that g's
+    curvature bound |g''| <= (h_max - h_min) |g'| certifies within
+    BRACKET_TOL of the root (``_g_step_error``).  The returned bracket keeps
+    a certified sign change with the estimate strictly inside it; the ESS
+    comes from the last pass and the score is the residual that pass
+    predicts at the estimate (``MleResult``).  Statuses replace
     exceptions; callers must branch on ``status``.
     """
     _check_k(h, pool)
@@ -468,8 +524,12 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: GSigmaTable | None = N
             sigma = cubic
     t = t_lo if sigma == lo else t_hi if sigma == hi else table.at(sigma)
 
-    # Safeguarded Newton from there.
-    sigma, t, lo, hi = _newton(table.at, lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL)
+    # Safeguarded Newton from there, stopping on the certificate of g's curvature.
+    spread = pool.h_max - pool.h_min
+    sigma, t, step, lo, hi = _newton(
+        table.at, lambda p: (p.g - hv, p.dg), sigma, t, lo, hi, BRACKET_TOL,
+        lambda slope, step: _g_step_error(spread, step),
+    )
 
     if t.ess < DEFAULT_ESS_FLOOR:
         # The root exists on the empirical curve but hangs on a handful of
@@ -489,7 +549,7 @@ def mle_sigma(h: Homozygosity, pool: WeightedPool, sweep: GSigmaTable | None = N
         sigma_hat=sigma,
         theta_hat=None,
         status=STATUS_CONVERGED,
-        score_at_solution=t.g - hv,
+        score_at_solution=t.g - hv + t.dg * step,
         bracket=(lo, hi),
         ess_at_solution=t.ess,
     )
@@ -597,6 +657,14 @@ def _check_retained(retained: int) -> None:
     """A chain keeping ``retained`` draws after burn-in can be summarized."""
     if retained < MIN_RETAINED:
         raise ValueError(f"need at least {MIN_RETAINED} retained draws to summarize, got {retained}")
+
+
+def _check_chain_length(chain_length: int, burn_in: int, name: str) -> None:
+    """A chain of ``chain_length`` draws keeps enough after ``burn_in``; ``name`` is the caller's word for it."""
+    if chain_length - burn_in < MIN_RETAINED:
+        raise ValueError(
+            f"{name} must exceed the burn-in of {burn_in} by at least {MIN_RETAINED} retained draws, got {chain_length}"
+        )
 
 
 def _check_replicates(m: int) -> None:
@@ -722,9 +790,11 @@ def monotone_ci(
     monotone empirical CDF.  Each endpoint is a safeguarded Newton solve
     (``mle_sigma``'s) on logit F, whose slope comes with F from one pass,
     inside the search range and from its own end of it; it stops within
-    CI_TOL of the root.  The search range includes negative intensities;
-    an endpoint pinned at a range bound carries a widen-range advisory
-    note.
+    CI_TOL of the root, at the latest on a Newton point that the curvature
+    bound |(logit F)''| <= (h_max - h_min)^2 / 4 certifies there, without
+    a pass at it (``_logit_step_error``).  The search range includes
+    negative intensities; an endpoint pinned at a range bound carries a
+    widen-range advisory note.
     """
     config = config or MonotoneCiConfig()
     _check_alphas(alpha1, alpha2)
@@ -733,6 +803,7 @@ def monotone_ci(
     at = functools.partial(_cdf_logit, pool, masks=_cdf_masks(pool, float(h.value)))
     end_lo, end_hi = at(s_lo), at(s_hi)
     f_lo, f_hi = end_lo[0], end_hi[0]
+    error = functools.partial(_logit_step_error, 0.25 * (pool.h_max - pool.h_min) ** 2)
     notes: list[str] = []
 
     def solve(target: float, label: str, start: float, t: tuple) -> float:
@@ -743,7 +814,7 @@ def monotone_ci(
             notes.append(f"{label}-endpoint-at-range-bound: F({s_hi:g})={f_hi:.4g} < {target:g}; widen sigma_range")
             return s_hi
         goal = math.log(target / (1.0 - target))
-        return _newton(at, lambda p: (goal - p[1], -p[2]), start, t, s_lo, s_hi, CI_TOL)[0]
+        return _newton(at, lambda p: (goal - p[1], -p[2]), start, t, s_lo, s_hi, CI_TOL, error)[0]
 
     # Each solve starts from its own end of the range, where logit F is
     # close to linear in sigma.  Both land within CI_TOL of their roots,

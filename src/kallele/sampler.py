@@ -30,6 +30,8 @@ routes:
   one moment-matched symmetric row for heterozygote advantage, the k
   neutral rows with one coordinate boosted (moment-matched too) for
   homozygote advantage, and the one neutral row for a general matrix.
+  The match is to the target's mean homozygosity, which a pilot of
+  PILOT_SIZE draws from a closed-form start of the same family estimates.
 
 The neutral envelope's acceptance rate is the neutral expectation of the
 envelope, which collapses much faster on the homozygote-advantage side
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INTERNAL_SUM_TOL, MutationParams, SelectionModel, SimplexPoint, _dirichlet, _gammaln, derive_rng
-from .density import _logsumexp_rows, g_sigma, pool_for_sigma_range
+from .density import _logsumexp_rows
 
 __all__ = [
     "SamplerConfig",
@@ -69,7 +71,8 @@ MH_BURN_IN = 1000
 MH_THIN_CAP = 100
 # An MH run accepting less often than this is flagged "low-acceptance".
 MH_FLAG_ACCEPTANCE = 0.05
-TUNING_POOL_SIZE = 20_000
+# Draws of the pilot that estimates the target's mean homozygosity for the MH proposal.
+PILOT_SIZE = 4096
 # Clip of the moment-matched symmetric proposal concentration.
 PROPOSAL_CONCENTRATION_RANGE = (0.05, 1e4)
 # Rejection sampling's budget: once it has made MAX_REJECTION_PROPOSALS
@@ -201,34 +204,24 @@ def _rejection_arrays(theta: MutationParams, sigma: float, n: int, seed: int) ->
     return draws, report
 
 
-def _tuning_mean_h(theta: MutationParams, sigma: float, seed: int) -> float:
-    tpool = pool_for_sigma_range(
-        theta,
-        TUNING_POOL_SIZE,
-        seed,
-        sigma_lo=min(sigma, 0.0),
-        sigma_hi=max(sigma, 0.0),
-        keep_draws=False,
-    )
-    return g_sigma(tpool, sigma)
+def _matched_concentration(k: int, g: float) -> float:
+    """Symmetric proposal concentration whose mean homozygosity is g.
 
-
-def _matched_concentration(theta: MutationParams, sigma: float, seed: int) -> float:
-    """Symmetric proposal concentration whose mean homozygosity matches the target mean."""
-    k = theta.k
-    g_hat = _tuning_mean_h(theta, sigma, seed)
-    a = (1.0 - g_hat) / (k * g_hat - 1.0)
+    Dir(a, ..., a) has mean homozygosity (a + 1) / (k a + 1), which is g at
+    a = (1 - g) / (k g - 1); clipped to PROPOSAL_CONCENTRATION_RANGE.
+    """
+    a = (1.0 - g) / (k * g - 1.0) if k * g > 1.0 else math.inf
     return float(np.clip(a, *PROPOSAL_CONCENTRATION_RANGE))
 
 
-def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int) -> float:
-    """Boost A for the vertex-mixture proposal (1/k) sum_j Dir(theta + A e_j).
+def _matched_vertex_boost(alphas: np.ndarray, g: float) -> float:
+    """Boost A for the vertex-mixture proposal (1/k) sum_j Dir(alphas + A e_j).
 
     A homozygote-advantage target concentrates near the vertices with its
     non-dominant coordinates still neutral-Dirichlet-shaped; boosting one
     neutral coordinate reproduces exactly that local structure.  A is
-    moment-matched so the proposal's mean homozygosity hits the estimated
-    target mean g, clamped to [neutral mean + 1e-9, 0.995].  With
+    moment-matched so the proposal's mean homozygosity hits the target
+    mean g, clamped to [neutral mean + 1e-9, 0.995].  With
     T = sum alpha and Q = sum alpha (alpha + 1), that mean is
 
         (Q + A (2T/k + 1) + A^2) / ((T + A) (T + A + 1)),
@@ -239,16 +232,44 @@ def _matched_vertex_boost(theta: MutationParams, sigma: float, seed: int) -> flo
     for g above the neutral mean Q / (T (T + 1)); where that mean exceeds the
     cap (theta/k of a few thousandths), A is 1e-9, the neutral law.
     """
-    alphas = theta.alphas()
     t = float(alphas.sum())
     q = float((alphas * (alphas + 1.0)).sum())
-    g = min(max(_tuning_mean_h(theta, sigma, seed), q / (t * (t + 1.0)) + 1e-9), 0.995)
+    g = min(max(g, q / (t * (t + 1.0)) + 1e-9), 0.995)
     b = 2.0 * t / alphas.size + 1.0 - g * (2.0 * t + 1.0)
     c = q - g * t * (t + 1.0)
     if c >= 0.0:
         return 1e-9
     root = math.sqrt(b * b - 4.0 * (1.0 - g) * c)
     return -2.0 * c / (b + root) if b >= 0.0 else (root - b) / (2.0 * (1.0 - g))
+
+
+def _proposal(alphas: np.ndarray, rows: np.ndarray, consts: np.ndarray) -> tuple[Callable, Callable]:
+    """Draws from the uniform mixture of Dir(rows[r]), and its log-density over Dir(alphas).
+
+    The log-density is the log-sum-exp over r of log(x) @ deltas[r] +
+    consts[r], with deltas = rows - alphas, up to a constant.
+    """
+    deltas = rows - alphas
+
+    def draw(size: int, rng: np.random.Generator) -> np.ndarray:
+        if len(rows) == 1:
+            return _dirichlet(rows[0], size, rng)
+        return _dirichlet(rows[rng.integers(len(rows), size=size)], size, rng)
+
+    def log_ratio(x: np.ndarray) -> np.ndarray:
+        return _logsumexp_rows((np.log(x) @ deltas.T + consts).T)
+
+    return draw, log_ratio
+
+
+def _pilot_mean_h(alphas: np.ndarray, rows: np.ndarray, consts: np.ndarray, sigma: float, seed: int) -> float:
+    """The target's mean homozygosity, self-normalized over PILOT_SIZE draws of a proposal."""
+    draw, log_ratio = _proposal(alphas, rows, consts)
+    x = draw(PILOT_SIZE, derive_rng(seed, 32))
+    h = np.einsum("ij,ij->i", x, x)
+    lw = -sigma * h - log_ratio(x)
+    w = np.exp(lw - lw.max())
+    return float(w @ h) / float(w.sum())
 
 
 def _mh_arrays(
@@ -267,34 +288,45 @@ def _mh_arrays(
         m = model.matrix_array(k)
         return -np.einsum("ij,jl,il->i", x, m, x)
 
-    # The proposal is a uniform mixture of Dirichlet(rows[r]).  Up to a
-    # constant, its log-density over the neutral law's is the log-sum-exp
-    # over r of log(x) @ deltas[r] + consts[r], with deltas = rows - alphas.
+    # The proposal is a uniform mixture of Dirichlet(rows[r]), tuned by
+    # moment matching to the target's mean homozygosity, which a pilot of
+    # PILOT_SIZE draws estimates from a closed-form start.
+    t = float(alphas.sum())
+    a_bar = t / k
     if model.mode == "symmetric" and sigma < 0.0:
         # Homozygote advantage: near-vertex target, served by the mixture
         # of the k one-coordinate-boosted neutral Dirichlets.  consts are
         # their log-normalizers over the neutral one's, less a shared term.
-        boost = _matched_vertex_boost(theta, sigma, seed)
-        kind, a_prop = "vertex-mixture", boost
-        deltas, consts = _vertex_rows(alphas, boost)
+        # Near vertex j, 1 - x_j is about Gamma(T - a_bar, 2|sigma| + a_bar - 1)
+        # under the target (T = sum alpha, a_bar = T/k) and
+        # Beta(T - a_bar, a_bar + A) under row j: the start's boost
+        # A0 = 2|sigma| + a_bar - 1 - T matches their means.
+        start = max(-2.0 * sigma + a_bar - 1.0 - t, 1e-9)
+        deltas, consts = _vertex_rows(alphas, start)
+        g = _pilot_mean_h(alphas, alphas + deltas, consts, sigma, seed)
+        a_prop = _matched_vertex_boost(alphas, g)
+        kind = "vertex-mixture"
+        deltas, consts = _vertex_rows(alphas, a_prop)
         rows = alphas + deltas
+    elif model.mode == "symmetric":
+        # Heterozygote advantage: one symmetric row.  The start matches
+        # Laplace's mean g = 1/k + (k - 1) / (2 sigma + (a_bar - 1) k^2),
+        # which is a = 2 sigma / k^2 + a_bar - 1 - 1/k, or is the neutral
+        # a_bar where that is not positive.
+        start = 2.0 * sigma / k**2 + a_bar - 1.0 - 1.0 / k
+        start = float(np.clip(start if start > 0.0 else a_bar, *PROPOSAL_CONCENTRATION_RANGE))
+        consts = np.zeros(1)
+        g = _pilot_mean_h(alphas, np.full((1, k), start), consts, sigma, seed)
+        a_prop = _matched_concentration(k, g)
+        kind, rows = "symmetric-dirichlet", np.full((1, k), a_prop)
     else:
-        if model.mode == "symmetric":
-            a_prop = _matched_concentration(theta, sigma, seed)
-            kind, rows = "symmetric-dirichlet", np.full((1, k), a_prop)
-        else:
-            # No tight envelope or moment match for a general matrix; propose
-            # from the neutral law so the score reduces to the quadratic form.
-            a_prop, kind, rows = None, "neutral", alphas[None, :]
-        deltas, consts = rows - alphas, np.zeros(1)
-
-    def draw_block(size: int, rng: np.random.Generator) -> np.ndarray:
-        if len(rows) == 1:
-            return _dirichlet(rows[0], size, rng)
-        return _dirichlet(rows[rng.integers(len(rows), size=size)], size, rng)
+        # No tight envelope or moment match for a general matrix; propose
+        # from the neutral law so the score reduces to the quadratic form.
+        a_prop, kind, rows, consts = None, "neutral", alphas[None, :], np.zeros(1)
+    draw_block, log_ratio = _proposal(alphas, rows, consts)
 
     def scores(x: np.ndarray) -> np.ndarray:
-        return tilt(x) - _logsumexp_rows((np.log(x) @ deltas.T + consts).T)
+        return tilt(x) - log_ratio(x)
 
     # Initialize from the proposal: an independence chain started where the
     # proposal density is negligible (e.g. a neutral draw against a tight

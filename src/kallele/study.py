@@ -27,7 +27,6 @@ from .density import (
 from .inference import (
     DEFAULT_PRIOR_BOUNDS,
     MIN_REPLICATES,
-    MIN_RETAINED,
     SIGMA_CAP,
     BootstrapConfig,
     BootstrapResult,
@@ -37,6 +36,7 @@ from .inference import (
     mle_sigma,
     posterior_sample,
     posterior_summary,
+    _check_chain_length,
     _subseed,
 )
 from .sampler import _selection_arrays
@@ -385,12 +385,10 @@ def run_study(spec: StudySpec) -> dict:
         )
         chain_length = integer("chain_length")
         # Before the pool and the chain, which would only be thrown away.
-        if chain_length - cfg.burn_in < MIN_RETAINED:
-            raise StudySchemaError(
-                f"posterior_hist: chain_length must exceed the burn-in of {cfg.burn_in} by at least "
-                f"{MIN_RETAINED} retained draws, got {chain_length}",
-                ["chain_length"],
-            )
+        try:
+            _check_chain_length(chain_length, cfg.burn_in, "chain_length")
+        except ValueError as exc:
+            raise StudySchemaError(f"posterior_hist: {exc}", ["chain_length"]) from None
         # A side the spec leaves out takes its default; a given side is kept as passed.
         bounds = []
         for name, default in zip(("prior_theta", "prior_sigma"), DEFAULT_PRIOR_BOUNDS):

@@ -286,6 +286,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_short_chain_names_the_flag_and_the_burn_in(self, capsys):
+        code = run_cli("analyze", "--data", "lyme", "--method", "posterior", "--chain-length", "100", "--seed", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --chain-length must exceed the burn-in of 1000 by at least 1000 retained draws, got 100\n"
+        )
+
     def test_bad_posterior_level_rejected_before_sampling(self, capsys):
         # At the default chain length and pool size, sampling first would take minutes.
         started = time.perf_counter()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -159,6 +160,28 @@ class TestMleSigma:
                 assert density.tilt(pool, lo).g >= hv > density.tilt(pool, hi).g
         assert sweep.passes
 
+    @pytest.mark.parametrize("pool_name", ["pool_k4", "mixture_pool_k4"])
+    def test_certified_root_and_score(self, request, pool_name):
+        # Cold solves from near the floor to near the ceiling: the estimate
+        # lies within BRACKET_TOL of the pool's own root, and the residual
+        # there within the certified remainder of the reported score, which
+        # |g'| grows by at most e^{R |u|} over a distance u.
+        pool = request.getfixturevalue(pool_name)
+        spread = pool.h_max - pool.h_min
+        tol = inference.BRACKET_TOL
+        solved = 0
+        for hv in np.quantile(pool.h, np.linspace(0.002, 0.998, 40)):
+            res = mle_sigma(Homozygosity(float(hv), 4), pool)
+            if not res.converged:
+                continue
+            solved += 1
+            root = brentq(lambda s: g_sigma(pool, s) - hv, *res.bracket, xtol=1e-12)
+            assert abs(res.sigma_hat - root) <= tol, (hv, res.sigma_hat, root)
+            t = density.tilt(pool, res.sigma_hat)
+            bound = abs(t.dg) * tol * math.exp(spread * tol)
+            assert abs(t.g - hv - res.score_at_solution) <= bound + 1e-15, (hv, t.g - hv, res.score_at_solution)
+        assert solved >= 30
+
     def test_monotone_in_data(self, mixture_pool_k4):
         hs = np.linspace(0.265, 0.6, 20)
         sigmas = [mle_sigma(Homozygosity(float(hv), 4), mixture_pool_k4).sigma_hat for hv in hs]
@@ -291,7 +314,8 @@ class TestBootstrap:
                 assert abs(swept.sigma_hat - cold.sigma_hat) <= 2 * inference.BRACKET_TOL
 
     def test_sweep_saves_passes(self, monkeypatch):
-        # Solved cold, a replicate takes about 8 passes here.
+        # Solved cold, a replicate takes about 8 passes here.  Through the
+        # table and with no pass at a certified Newton point it takes 1.3.
         calls = []
         passes = density._pass
 
@@ -301,7 +325,7 @@ class TestBootstrap:
 
         monkeypatch.setattr(density, "_pass", counted)
         bootstrap(4.8, 35.1, 4, 200, seed=7001, config=BootstrapConfig(pool_n=100_000))
-        assert len(calls) / 200 <= 2.2
+        assert len(calls) / 200 <= 1.5
 
     def test_heavy_right_tail_under_strong_selection(self):
         # strong heterozygote advantage at high allele count: the sampling
@@ -423,6 +447,36 @@ class TestMonotoneCi:
         iv = monotone_ci(homozygosity(x), pool, 0.025, 0.025)
         assert iv.lower < 0.0 < iv.upper and not iv.notes
         assert len(calls) <= 20
+
+    @pytest.mark.parametrize("pool_name", ["mixture_pool_k4", "mixture_pool_k8"])
+    def test_certificate_keeps_every_endpoint_bit(self, request, monkeypatch, pool_name):
+        # With the curvature bound switched off, Newton takes its
+        # confirming pass at the point the certificate stops on.
+        pool = request.getfixturevalue(pool_name)
+        h = homozygosity(parse_frequencies("lyme" if pool.k == 4 else "kir"))
+        s_lo, s_hi = MonotoneCiConfig().sigma_range
+        calls = []
+        weights = density._weights
+
+        def counted(*args):
+            calls.append(args[2])
+            return weights(*args)
+
+        monkeypatch.setattr(density, "_weights", counted)
+        at = functools.partial(inference._cdf_logit, pool, masks=inference._cdf_masks(pool, h.value))
+        off = []
+        for target, start in ((0.025, s_lo), (0.975, s_hi)):
+            goal = math.log(target / (1.0 - target))
+            sigma = inference._newton(
+                at, lambda p: (goal - p[1], -p[2]), start, at(start), s_lo, s_hi, inference.CI_TOL,
+                lambda slope, step: math.inf,
+            )[0]
+            off.append(sigma)
+        off_passes = len(calls)
+        del calls[:]
+        iv = monotone_ci(h, pool, 0.025, 0.025)
+        assert (iv.lower, iv.upper) == tuple(off)
+        assert not iv.notes and len(calls) < off_passes
 
     def test_solver_reads_the_cdf(self, monkeypatch, mixture_pool_k4):
         h = homozygosity(parse_frequencies("lyme"))

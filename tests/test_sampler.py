@@ -19,6 +19,7 @@ from kallele import (
 from kallele import sampler
 from kallele.core import _dirichlet, derive_rng
 from kallele.density import _logsumexp_rows, g_sigma, pool_for_sigma_range
+from kallele.inference import _subseed
 from kallele.sampler import _selection_arrays, write_samples_jsonl
 
 import oracles
@@ -182,13 +183,11 @@ def _mean_h_by_component(alphas: np.ndarray, boost: float) -> float:
 class TestVertexBoost:
     # theta/k from 0.125 to 5: below and above 1
     @pytest.mark.parametrize("theta, k", [(0.5, 4), (4.8, 4), (5.0, 10), (20.0, 4)])
-    def test_closed_form_hits_the_target_mean(self, monkeypatch, theta, k):
-        params = MutationParams.symmetric(theta, k)
-        alphas = params.alphas()
+    def test_closed_form_hits_the_target_mean(self, theta, k):
+        alphas = MutationParams.symmetric(theta, k).alphas()
         neutral = _mean_h_by_component(alphas, 0.0)
         for g in np.linspace(neutral, 0.995, 9)[1:]:
-            monkeypatch.setattr(sampler, "_tuning_mean_h", lambda *args, g=g: float(g))
-            boost = sampler._matched_vertex_boost(params, -100.0, 1)
+            boost = sampler._matched_vertex_boost(alphas, float(g))
             assert boost > 0.0
             assert _mean_h_by_component(alphas, boost) == pytest.approx(g, rel=1e-12)
             # The mean falls, then rises through g once: bisect in log A for the crossing.
@@ -202,13 +201,25 @@ class TestVertexBoost:
             assert boost == pytest.approx(math.sqrt(lo * hi), rel=1e-9)
 
     @pytest.mark.parametrize("theta, k", [(0.005, 4), (0.005, 3)])
-    def test_neutral_mean_above_the_cap(self, monkeypatch, theta, k):
+    def test_neutral_mean_above_the_cap(self, theta, k):
         # The 0.995 cap puts g below the neutral mean: the mean never falls
         # to g from above within the bisection's bracket, so both give 1e-9.
-        params = MutationParams.symmetric(theta, k)
-        assert _mean_h_by_component(params.alphas(), 0.0) > 0.995
-        monkeypatch.setattr(sampler, "_tuning_mean_h", lambda *args: 0.999)
-        assert sampler._matched_vertex_boost(params, -100.0, 1) == pytest.approx(1e-9, rel=1e-9)
+        alphas = MutationParams.symmetric(theta, k).alphas()
+        assert _mean_h_by_component(alphas, 0.0) > 0.995
+        assert sampler._matched_vertex_boost(alphas, 0.999) == pytest.approx(1e-9, rel=1e-9)
+
+    def test_homozygote_study_leg_does_not_stick(self):
+        # The README study's sigma = -50 leg (k = 10, theta = 5) at a seed
+        # where a boost tuned on a 20k importance pool of ESS about 3 came
+        # out near 458: acceptance 0.022, 121 distinct rows, and every row
+        # in the homozygote region h > 0.91.  The target puts about half
+        # its mass there.
+        seed = _subseed(205018, 11, 3)
+        draws, report = _selection_arrays(MutationParams.symmetric(5.0, 10), -50.0, 1000, seed)
+        h = np.einsum("ij,ij->i", draws, draws)
+        assert report.method == "independence-mh"
+        assert report.n_distinct >= 900
+        assert ((h > 0.91) & (h < 1.0)).mean() < 0.8
 
     def test_tiny_theta_vertex_route_samples(self):
         draws, report = _selection_arrays(MutationParams.symmetric(0.005, 4), -100.0, 50, seed=2)
